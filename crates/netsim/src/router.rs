@@ -42,15 +42,18 @@
 //! With `V = 1` both stages degenerate to the pre-VC single-FIFO
 //! arbitration bit-for-bit — pinned by `tests/v1_behaviour_pinned.rs`.
 //!
-//! Per-lane *state that every cycle must touch* — idle-run counters,
-//! the [`SleepFsm`] sleep controllers, and the [`GatingCounters`] — is
-//! **not** stored inside the router. The simulation owns it as flat
-//! network-wide SoA arrays (indexed `router * 5 * V + port * V + vc`)
-//! and lends this router's lane block to [`Router::step`] as a
+//! No router owns its state. The buffers, output-lane owners and
+//! round-robin pointers of every router live in network-wide
+//! [`RouterSlabs`] columns (indexed `router * 5 * V + port * V + vc`)
+//! whose all-zero value is an empty router, so a million-router mesh
+//! is built and dropped without touching per-router memory; a
+//! [`Router`] is a borrowed view of one router's rows. Per-lane *state
+//! that every cycle must touch* — idle-run counters, the [`SleepFsm`]
+//! sleep controllers, and the [`GatingCounters`] — is owned by the
+//! simulation as further SoA arrays and lent to [`Router::step`] as a
 //! [`PortLane`]. Gating is therefore per **VC lane**: an empty VC bank
 //! can sleep while a sibling VC of the same port carries a worm.
 //!
-//! The input VC buffers live in one flat ring-buffer allocation and
 //! [`Router::step_fast`] performs no heap allocation — the hot loop of
 //! the whole simulator.
 //!
@@ -60,7 +63,6 @@ use crate::sleep::{SleepConfig, SleepFsm};
 use crate::topology::Direction;
 use crate::traffic::Flit;
 use lnoc_power::gating::GatingCounters;
-use serde::{Deserialize, Serialize};
 
 /// Hard cap on virtual channels per port: keeps the per-cycle
 /// head-wants mask in one `u64` (`5 * 8 = 40` output lanes) and the
@@ -85,21 +87,20 @@ pub struct RouteTarget {
 }
 
 /// Per-output-lane state: which input lane currently owns the lane.
-/// One byte per lane (`FREE` or the owning input-lane index `port * V +
-/// vc`) so a router's owners pack into a few loads — the quiescence
-/// check and the step path test them every cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[repr(transparent)]
+/// One byte per lane, stored **owner + 1** so that a zeroed slab means
+/// every lane is free: `0` is free, `k + 1` is owned by input lane `k`
+/// (`port * V + vc`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PortOwner(u8);
 
 impl PortOwner {
     /// Free for a new head flit.
-    const FREE: PortOwner = PortOwner(u8::MAX);
+    const FREE: PortOwner = PortOwner(0);
 
     /// Allocated to the given input lane until a tail flit passes.
     fn owned(input_lane: usize) -> PortOwner {
         debug_assert!(input_lane < MAX_LANES);
-        PortOwner(input_lane as u8)
+        PortOwner(input_lane as u8 + 1)
     }
 
     fn is_free(self) -> bool {
@@ -108,74 +109,277 @@ impl PortOwner {
 
     /// The owning input lane, if any.
     fn input(self) -> Option<usize> {
-        (!self.is_free()).then_some(self.0 as usize)
+        (!self.is_free()).then(|| self.0 as usize - 1)
     }
 }
 
-impl Default for PortOwner {
-    fn default() -> Self {
-        PortOwner::FREE
+/// Largest router id a buffered flit's `src`/`dst` may carry: the
+/// packed slot below keeps each in 24 bits, the same bound the packet
+/// id packing already imposes on sources.
+pub(crate) const MAX_ROUTER_ID: usize = (1 << 24) - 2;
+
+/// One buffered flit packed into three integer words, so a buffer slab
+/// is an integer column whose all-zero state is "empty":
+///
+/// * word 0 — `packet_id + 1` (`0` = no flit: [`Flit::INVALID`]'s id
+///   `u64::MAX` wraps to it, so the empty slot decodes to the filler);
+/// * word 1 — `injected_at`;
+/// * word 2 — `src | dst << 24 | vc << 48 | is_head << 56 | is_tail << 57`.
+type Slot = [u64; 3];
+
+fn pack(f: &Flit) -> Slot {
+    debug_assert!(f.src <= MAX_ROUTER_ID && f.dst <= MAX_ROUTER_ID);
+    [
+        f.packet_id.wrapping_add(1),
+        f.injected_at,
+        f.src as u64
+            | (f.dst as u64) << 24
+            | (f.vc as u64) << 48
+            | (f.is_head as u64) << 56
+            | (f.is_tail as u64) << 57,
+    ]
+}
+
+fn unpack(s: &Slot) -> Flit {
+    let meta = s[2];
+    Flit {
+        packet_id: s[0].wrapping_sub(1),
+        src: (meta & 0xff_ffff) as usize,
+        dst: (meta >> 24 & 0xff_ffff) as usize,
+        vc: (meta >> 48) as u8,
+        is_head: meta >> 56 & 1 != 0,
+        is_tail: meta >> 57 & 1 != 0,
+        injected_at: s[1],
     }
 }
 
-/// All `5 * V` input VC buffers in one flat allocation: lane `l`
-/// (`port * V + vc`) owns the slot range `l*depth..(l+1)*depth` as a
-/// ring buffer.
-#[derive(Debug, Clone)]
-struct PortBuffers {
-    slots: Box<[Flit]>,
-    head: Box<[u32]>,
-    len: Box<[u32]>,
+/// The network-wide constants every router view needs.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    vcs: u8,
     depth: u32,
+    sleep_cfg: Option<SleepConfig>,
 }
 
-impl PortBuffers {
-    fn new(depth: usize, lanes: usize) -> Self {
-        PortBuffers {
-            slots: vec![Flit::INVALID; lanes * depth].into_boxed_slice(),
-            head: vec![0; lanes].into_boxed_slice(),
-            len: vec![0; lanes].into_boxed_slice(),
-            depth: depth as u32,
+impl Shape {
+    fn lanes(self) -> usize {
+        5 * self.vcs as usize
+    }
+}
+
+/// Every router's state in flat, network-wide slabs: the input VC ring
+/// buffers, output-lane owners, and both round-robin pointers, each a
+/// column indexed `router * 5V + lane` (buffer slots
+/// `(router * 5V + lane) * depth + k`, switch-allocation pointers
+/// `router * 5 + port`).
+///
+/// Every column is an integer type whose all-zero value means "empty
+/// router" (no flits, free lanes, round-robin at lane 0), so building
+/// the slabs is a handful of zeroed allocations — untouched pages that
+/// cost nothing until a router first holds a flit — and dropping them
+/// is as cheap, whatever the router count.
+#[derive(Debug)]
+pub(crate) struct RouterSlabs {
+    shape: Shape,
+    slots: Vec<Slot>,
+    head: Vec<u32>,
+    len: Vec<u32>,
+    owners: Vec<u8>,
+    /// Packet id of the worm holding each output lane — only
+    /// meaningful while the matching owner is allocated. Lets the
+    /// fault layer release lanes held by doomed packets whose
+    /// remaining flits were purged upstream.
+    owner_pkt: Vec<u64>,
+    /// VC-allocation round-robin pointer per output lane, over the
+    /// `5 * V` input lanes.
+    rr_next: Vec<u8>,
+    /// Switch-allocation round-robin pointer per output *port*, over
+    /// its `V` lanes.
+    sa_rr: Vec<u8>,
+}
+
+impl RouterSlabs {
+    /// Empty, quiescent state for `routers` routers with `vcs` virtual
+    /// channels of `buffer_depth` flits each per port, their output VC
+    /// lanes running the given sleep FSM configuration (`None`
+    /// disables in-loop gating).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `vcs` is 0 or exceeds [`MAX_VCS`], or the buffer
+    /// depth does not fit a `u32`.
+    pub(crate) fn new(
+        routers: usize,
+        buffer_depth: usize,
+        vcs: usize,
+        sleep_cfg: Option<SleepConfig>,
+    ) -> Self {
+        assert!((1..=MAX_VCS).contains(&vcs), "vcs must be in 1..={MAX_VCS}");
+        let depth = u32::try_from(buffer_depth).expect("buffer depth fits u32");
+        let shape = Shape {
+            vcs: vcs as u8,
+            depth,
+            sleep_cfg,
+        };
+        let lanes = routers * shape.lanes();
+        RouterSlabs {
+            shape,
+            slots: vec![[0; 3]; lanes * buffer_depth],
+            head: vec![0; lanes],
+            len: vec![0; lanes],
+            owners: vec![0; lanes],
+            owner_pkt: vec![0; lanes],
+            rr_next: vec![0; lanes],
+            sa_rr: vec![0; routers * 5],
         }
     }
 
-    fn len(&self, lane: usize) -> usize {
-        self.len[lane] as usize
+    /// A mutable view of router `id`.
+    #[cfg(test)]
+    fn router(&mut self, id: usize) -> Router<'_> {
+        self.tile(0).into_router(id)
     }
 
-    fn is_full(&self, lane: usize) -> bool {
-        self.len[lane] == self.depth
-    }
-
-    fn front(&self, lane: usize) -> Option<&Flit> {
-        (self.len[lane] > 0)
-            .then(|| &self.slots[lane * self.depth as usize + self.head[lane] as usize])
-    }
-
-    fn push_back(&mut self, lane: usize, flit: Flit) {
-        debug_assert!(!self.is_full(lane));
-        debug_assert!(!flit.is_invalid(), "buffered a filler flit");
-        // Conditional wrap instead of `%`: the depth is a runtime
-        // value, so a modulo here is a hardware divide in the hottest
-        // loop of the simulator.
-        let mut tail = self.head[lane] + self.len[lane];
-        if tail >= self.depth {
-            tail -= self.depth;
+    /// Every router as one tile whose local index `lr` is router
+    /// `base + lr`; carve it per shard with
+    /// [`RouterTile::split_at_mut`].
+    pub(crate) fn tile(&mut self, base: usize) -> RouterTile<'_> {
+        RouterTile {
+            shape: self.shape,
+            base,
+            slots: &mut self.slots,
+            head: &mut self.head,
+            len: &mut self.len,
+            owners: &mut self.owners,
+            owner_pkt: &mut self.owner_pkt,
+            rr_next: &mut self.rr_next,
+            sa_rr: &mut self.sa_rr,
         }
-        self.slots[lane * self.depth as usize + tail as usize] = flit;
-        self.len[lane] += 1;
     }
 
-    fn pop_front(&mut self, lane: usize) -> Option<Flit> {
-        if self.len[lane] == 0 {
-            return None;
+    /// Buffer occupancy of router `id`'s input VC `(port, vc)`.
+    pub(crate) fn occupancy(&self, id: usize, port: Direction, vc: usize) -> usize {
+        let v = self.shape.vcs as usize;
+        self.len[id * 5 * v + port.index() * v + vc] as usize
+    }
+
+    /// Flits buffered anywhere in the network.
+    pub(crate) fn total_occupancy(&self) -> usize {
+        self.len.iter().map(|&l| l as usize).sum()
+    }
+}
+
+/// A contiguous range of routers' slabs — a shard's share of
+/// [`RouterSlabs`], indexed by tile-local router `lr`.
+#[derive(Debug)]
+pub(crate) struct RouterTile<'a> {
+    shape: Shape,
+    /// Global id of local router 0.
+    base: usize,
+    slots: &'a mut [Slot],
+    head: &'a mut [u32],
+    len: &'a mut [u32],
+    owners: &'a mut [u8],
+    owner_pkt: &'a mut [u64],
+    rr_next: &'a mut [u8],
+    sa_rr: &'a mut [u8],
+}
+
+impl<'a> RouterTile<'a> {
+    /// Splits off the first `routers` routers (same contract as the
+    /// slice method, so tiles carve alongside the other slabs).
+    pub(crate) fn split_at_mut(self, routers: usize) -> (RouterTile<'a>, RouterTile<'a>) {
+        let lanes = routers * self.shape.lanes();
+        let (slots, slots_rest) = self.slots.split_at_mut(lanes * self.shape.depth as usize);
+        let (head, head_rest) = self.head.split_at_mut(lanes);
+        let (len, len_rest) = self.len.split_at_mut(lanes);
+        let (owners, owners_rest) = self.owners.split_at_mut(lanes);
+        let (owner_pkt, owner_pkt_rest) = self.owner_pkt.split_at_mut(lanes);
+        let (rr_next, rr_next_rest) = self.rr_next.split_at_mut(lanes);
+        let (sa_rr, sa_rr_rest) = self.sa_rr.split_at_mut(routers * 5);
+        let shape = self.shape;
+        (
+            RouterTile {
+                shape,
+                base: self.base,
+                slots,
+                head,
+                len,
+                owners,
+                owner_pkt,
+                rr_next,
+                sa_rr,
+            },
+            RouterTile {
+                shape,
+                base: self.base + routers,
+                slots: slots_rest,
+                head: head_rest,
+                len: len_rest,
+                owners: owners_rest,
+                owner_pkt: owner_pkt_rest,
+                rr_next: rr_next_rest,
+                sa_rr: sa_rr_rest,
+            },
+        )
+    }
+
+    /// A mutable view of local router `lr`.
+    pub(crate) fn router(&mut self, lr: usize) -> Router<'_> {
+        RouterTile {
+            shape: self.shape,
+            base: self.base,
+            slots: &mut *self.slots,
+            head: &mut *self.head,
+            len: &mut *self.len,
+            owners: &mut *self.owners,
+            owner_pkt: &mut *self.owner_pkt,
+            rr_next: &mut *self.rr_next,
+            sa_rr: &mut *self.sa_rr,
         }
-        let head = self.head[lane];
-        let flit = self.slots[lane * self.depth as usize + head as usize];
-        debug_assert!(!flit.is_invalid(), "popped a filler flit");
-        self.head[lane] = if head + 1 == self.depth { 0 } else { head + 1 };
-        self.len[lane] -= 1;
-        Some(flit)
+        .into_router(lr)
+    }
+
+    /// [`RouterTile::router`], consuming the tile.
+    fn into_router(self, lr: usize) -> Router<'a> {
+        let lanes = self.shape.lanes();
+        let l = lr * lanes..(lr + 1) * lanes;
+        let depth = self.shape.depth as usize;
+        Router {
+            id: self.base + lr,
+            shape: self.shape,
+            slots: &mut self.slots[l.start * depth..l.end * depth],
+            head: &mut self.head[l.clone()],
+            len: &mut self.len[l.clone()],
+            owners: &mut self.owners[l.clone()],
+            owner_pkt: &mut self.owner_pkt[l.clone()],
+            rr_next: &mut self.rr_next[l],
+            sa_rr: &mut self.sa_rr[lr * 5..lr * 5 + 5],
+        }
+    }
+
+    /// Buffer occupancy of local router `lr`'s input VC `(port, vc)`.
+    pub(crate) fn occupancy(&self, lr: usize, port: Direction, vc: usize) -> usize {
+        let v = self.shape.vcs as usize;
+        self.len[lr * 5 * v + port.index() * v + vc] as usize
+    }
+
+    /// Calls `f` with every flit buffered in local router `lr`, in
+    /// input-lane order and FIFO order within a lane — the fault
+    /// layer's boundary scan.
+    pub(crate) fn for_each_flit(&self, lr: usize, mut f: impl FnMut(&Flit)) {
+        let lanes = self.shape.lanes();
+        let depth = self.shape.depth as usize;
+        for lane in lr * lanes..(lr + 1) * lanes {
+            let head = self.head[lane] as usize;
+            for k in 0..self.len[lane] as usize {
+                let mut idx = head + k;
+                if idx >= depth {
+                    idx -= depth;
+                }
+                f(&unpack(&self.slots[lane * depth + idx]));
+            }
+        }
     }
 }
 
@@ -197,27 +401,24 @@ pub struct PortLane<'a> {
     pub idle_ended: &'a mut [u64],
 }
 
-/// One wormhole router.
-#[derive(Debug, Clone)]
-pub struct Router {
+/// One wormhole router: a borrowed view of its rows in
+/// [`RouterSlabs`]. The view owns no heap data; building one is a few
+/// slice bounds checks, so the simulation makes one per router step.
+#[derive(Debug)]
+pub struct Router<'a> {
     /// This router's id in the mesh.
     pub id: usize,
-    buffers: PortBuffers,
-    /// Owner per output lane.
-    owners: Box<[PortOwner]>,
-    /// Packet id of the worm holding each output lane — only
-    /// meaningful while the matching owner is allocated. Lets the
-    /// fault layer release lanes held by doomed packets whose
-    /// remaining flits were purged upstream.
-    owner_pkt: Box<[u64]>,
-    /// VC-allocation round-robin pointer per output lane, over the
-    /// `5 * V` input lanes.
-    rr_next: Box<[u8]>,
-    /// Switch-allocation round-robin pointer per output *port*, over
-    /// its `V` lanes.
-    sa_rr: [u8; 5],
-    vcs: u8,
-    sleep_cfg: Option<SleepConfig>,
+    shape: Shape,
+    /// `5 * V` input VC ring buffers: lane `l` (`port * V + vc`) owns
+    /// the slot range `l*depth..(l+1)*depth`.
+    slots: &'a mut [Slot],
+    head: &'a mut [u32],
+    len: &'a mut [u32],
+    /// Owner per output lane ([`PortOwner`] encoding).
+    owners: &'a mut [u8],
+    owner_pkt: &'a mut [u64],
+    rr_next: &'a mut [u8],
+    sa_rr: &'a mut [u8],
 }
 
 /// A flit departing the router this cycle.
@@ -234,55 +435,66 @@ pub struct Departure {
     pub flit: Flit,
 }
 
-impl Router {
-    /// Creates an empty, ungated router with `vcs` virtual channels of
-    /// `buffer_depth` flits each per port.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `vcs` is 0 or exceeds [`MAX_VCS`].
-    pub fn new(id: usize, buffer_depth: usize, vcs: usize) -> Self {
-        assert!((1..=MAX_VCS).contains(&vcs), "vcs must be in 1..={MAX_VCS}");
-        let lanes = 5 * vcs;
-        Router {
-            id,
-            buffers: PortBuffers::new(buffer_depth, lanes),
-            owners: vec![PortOwner::FREE; lanes].into_boxed_slice(),
-            owner_pkt: vec![0; lanes].into_boxed_slice(),
-            rr_next: vec![0; lanes].into_boxed_slice(),
-            sa_rr: [0; 5],
-            vcs: vcs as u8,
-            sleep_cfg: None,
-        }
-    }
-
-    /// Creates a router whose output VC lanes run the given sleep FSM
-    /// configuration (`None` disables in-loop gating).
-    pub fn with_gating(
-        id: usize,
-        buffer_depth: usize,
-        vcs: usize,
-        sleep_cfg: Option<SleepConfig>,
-    ) -> Self {
-        Router {
-            sleep_cfg,
-            ..Router::new(id, buffer_depth, vcs)
-        }
-    }
-
+impl Router<'_> {
     /// Virtual channels per port.
     pub fn vcs(&self) -> usize {
-        self.vcs as usize
+        self.shape.vcs as usize
     }
 
     /// Lanes per router (`5 * vcs`).
     fn lanes(&self) -> usize {
-        5 * self.vcs as usize
+        self.shape.lanes()
+    }
+
+    fn owner(&self, ol: usize) -> PortOwner {
+        PortOwner(self.owners[ol])
+    }
+
+    fn set_owner(&mut self, ol: usize, owner: PortOwner) {
+        self.owners[ol] = owner.0;
+    }
+
+    fn is_full(&self, lane: usize) -> bool {
+        self.len[lane] == self.shape.depth
+    }
+
+    fn front(&self, lane: usize) -> Option<Flit> {
+        (self.len[lane] > 0).then(|| {
+            unpack(&self.slots[lane * self.shape.depth as usize + self.head[lane] as usize])
+        })
+    }
+
+    fn push_back(&mut self, lane: usize, flit: Flit) {
+        debug_assert!(!self.is_full(lane));
+        debug_assert!(!flit.is_invalid(), "buffered a filler flit");
+        let depth = self.shape.depth;
+        // Conditional wrap instead of `%`: the depth is a runtime
+        // value, so a modulo here is a hardware divide in the hottest
+        // loop of the simulator.
+        let mut tail = self.head[lane] + self.len[lane];
+        if tail >= depth {
+            tail -= depth;
+        }
+        self.slots[lane * depth as usize + tail as usize] = pack(&flit);
+        self.len[lane] += 1;
+    }
+
+    fn pop_front(&mut self, lane: usize) -> Option<Flit> {
+        if self.len[lane] == 0 {
+            return None;
+        }
+        let depth = self.shape.depth;
+        let head = self.head[lane];
+        let flit = unpack(&self.slots[lane * depth as usize + head as usize]);
+        debug_assert!(!flit.is_invalid(), "popped a filler flit");
+        self.head[lane] = if head + 1 == depth { 0 } else { head + 1 };
+        self.len[lane] -= 1;
+        Some(flit)
     }
 
     /// Whether the input VC buffer `(port, vc)` can accept a flit.
     pub fn can_accept(&self, port: Direction, vc: usize) -> bool {
-        !self.buffers.is_full(port.index() * self.vcs as usize + vc)
+        !self.is_full(port.index() * self.vcs() + vc)
     }
 
     /// Pushes an arriving flit into the input VC buffer named by
@@ -291,7 +503,9 @@ impl Router {
     /// # Panics
     ///
     /// Panics if that VC buffer is full — callers hold one credit per
-    /// free slot, so an overflow means the credit accounting broke.
+    /// free slot, so an overflow means the credit accounting broke —
+    /// or if the flit's `src` or `dst` exceeds the 24-bit router id
+    /// range its packed buffer slot holds.
     pub fn accept(&mut self, port: Direction, flit: Flit) {
         let vc = flit.vc as usize;
         assert!(
@@ -299,26 +513,26 @@ impl Router {
             "VC buffer overflow at router {} port {port} vc {vc}",
             self.id
         );
-        self.buffers
-            .push_back(port.index() * self.vcs as usize + vc, flit);
+        assert!(
+            flit.src <= MAX_ROUTER_ID && flit.dst <= MAX_ROUTER_ID,
+            "flit endpoints exceed the packed router id range"
+        );
+        self.push_back(port.index() * self.vcs() + vc, flit);
     }
 
     /// Buffer occupancy of one input VC.
     pub fn occupancy(&self, port: Direction, vc: usize) -> usize {
-        self.buffers.len(port.index() * self.vcs as usize + vc)
+        self.len[port.index() * self.vcs() + vc] as usize
     }
 
     /// Total buffered flits across an input port's VCs.
     pub fn port_occupancy(&self, port: Direction) -> usize {
-        let v = self.vcs as usize;
-        (0..v)
-            .map(|vc| self.buffers.len(port.index() * v + vc))
-            .sum()
+        (0..self.vcs()).map(|vc| self.occupancy(port, vc)).sum()
     }
 
     /// Total buffered flits.
     pub fn total_occupancy(&self) -> usize {
-        (0..self.lanes()).map(|l| self.buffers.len(l)).sum()
+        self.len.iter().map(|&l| l as usize).sum()
     }
 
     /// Whether the router holds no flits and no output lane is held
@@ -326,23 +540,7 @@ impl Router {
     /// quiescence predicate. A quiet router's [`Router::step`] can only
     /// tick idle counters, so it may be skipped and bulk-accounted.
     pub fn is_quiet(&self) -> bool {
-        self.buffers.len.iter().all(|&l| l == 0) && self.owners.iter().all(|o| o.is_free())
-    }
-
-    /// Calls `f` with every buffered flit, in input-lane order and FIFO
-    /// order within a lane — the fault layer's boundary scan.
-    pub(crate) fn for_each_flit(&self, mut f: impl FnMut(&Flit)) {
-        let depth = self.buffers.depth as usize;
-        for lane in 0..self.lanes() {
-            let head = self.buffers.head[lane] as usize;
-            for k in 0..self.buffers.len(lane) {
-                let mut idx = head + k;
-                if idx >= depth {
-                    idx -= depth;
-                }
-                f(&self.buffers.slots[lane * depth + idx]);
-            }
-        }
+        self.len.iter().all(|&l| l == 0) && self.owners.iter().all(|&o| o == PortOwner::FREE.0)
     }
 
     /// Removes every buffered flit of a doomed packet and releases
@@ -363,19 +561,19 @@ impl Router {
         for lane in 0..self.lanes() {
             // Pop exactly the original occupancy; survivors re-pushed
             // at the tail come back around in their original order.
-            for _ in 0..self.buffers.len(lane) {
-                let flit = self.buffers.pop_front(lane).expect("occupancy counted");
+            for _ in 0..self.len[lane] {
+                let flit = self.pop_front(lane).expect("occupancy counted");
                 if doomed(flit.packet_id) {
                     on_removed(lane, &flit);
                     removed += 1;
                 } else {
-                    self.buffers.push_back(lane, flit);
+                    self.push_back(lane, flit);
                 }
             }
         }
         for ol in 0..self.lanes() {
-            if !self.owners[ol].is_free() && doomed(self.owner_pkt[ol]) {
-                self.owners[ol] = PortOwner::FREE;
+            if !self.owner(ol).is_free() && doomed(self.owner_pkt[ol]) {
+                self.set_owner(ol, PortOwner::FREE);
             }
         }
         removed
@@ -398,8 +596,8 @@ impl Router {
         port_used: &[bool; 5],
         targets: impl Fn(usize) -> Option<bool>,
     ) -> Option<usize> {
-        let v = self.vcs as usize;
-        match self.owners[ol].input() {
+        let v = self.vcs();
+        match self.owner(ol).input() {
             Some(il) => (!port_used[il / v] && targets(il).is_some()).then_some(il),
             None => {
                 let n = self.lanes();
@@ -427,10 +625,9 @@ impl Router {
         route: impl Fn(&Flit) -> RouteTarget,
         used: &[bool; 5],
     ) -> Option<usize> {
-        let v = self.vcs as usize;
+        let v = self.vcs();
         self.select_candidate(ol, used, |il| {
-            self.buffers
-                .front(il)
+            self.front(il)
                 .filter(|f| {
                     let t = route(f);
                     t.out.index() * v + t.vc as usize == ol
@@ -479,7 +676,7 @@ impl Router {
         ports: PortLane<'_>,
         on_depart: impl FnMut(Departure),
     ) -> FastOutcome {
-        if self.sleep_cfg.is_some() {
+        if self.shape.sleep_cfg.is_some() {
             self.step_impl::<true>(route, lane_ready, ports, on_depart)
         } else {
             self.step_impl::<false>(route, lane_ready, ports, on_depart)
@@ -495,7 +692,7 @@ impl Router {
         mut on_depart: impl FnMut(Departure),
     ) -> FastOutcome {
         const NO_WANT: u8 = u8::MAX;
-        let v = self.vcs as usize;
+        let v = self.vcs();
         let nlanes = 5 * v;
         let mut arbitrations = 0u64;
         let mut input_used = [false; 5];
@@ -509,9 +706,9 @@ impl Router {
         let mut head = [false; MAX_LANES];
         let mut head_wants = 0u64;
         for il in 0..nlanes {
-            if let Some(f) = self.buffers.front(il) {
+            if let Some(f) = self.front(il) {
                 debug_assert!(!f.is_invalid(), "routing a filler flit");
-                let t = route(f);
+                let t = route(&f);
                 let ol = t.out.index() * v + t.vc as usize;
                 want[il] = ol as u8;
                 head[il] = f.is_head;
@@ -535,7 +732,7 @@ impl Router {
                 }
                 let ol = oi * v + ovc;
 
-                let owner = self.owners[ol];
+                let owner = self.owner(ol);
                 // Mask short-circuit: a free lane no head requested
                 // this cycle skips the round-robin scan entirely. The
                 // eligibility rule itself is shared with the fresh-scan
@@ -555,7 +752,7 @@ impl Router {
                 let wants = candidate.is_some() && lane_ready(out, ovc);
 
                 let can_transmit = if GATED {
-                    let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
+                    let cfg = self.shape.sleep_cfg.expect("GATED implies a sleep config");
                     ports.fsm[ol].gate(wants, cfg.wake_latency)
                 } else {
                     true
@@ -568,19 +765,19 @@ impl Router {
                 let mut sent = false;
                 if can_transmit && wants && winner_vc.is_none() {
                     let il = candidate.expect("wants implies candidate");
-                    let mut flit = self.buffers.pop_front(il).expect("front exists");
+                    let mut flit = self.pop_front(il).expect("front exists");
                     if owner.is_free() {
                         // VC allocation: the head flit claims the lane
                         // (released again immediately for single-flit
                         // packets) and advances its round-robin.
                         if !flit.is_tail {
-                            self.owners[ol] = PortOwner::owned(il);
+                            self.set_owner(ol, PortOwner::owned(il));
                             self.owner_pkt[ol] = flit.packet_id;
                         }
                         let next = il + 1;
                         self.rr_next[ol] = (if next == nlanes { 0 } else { next }) as u8;
                     } else if flit.is_tail {
-                        self.owners[ol] = PortOwner::FREE;
+                        self.set_owner(ol, PortOwner::FREE);
                     }
                     let input_vc = (il % v) as u8;
                     flit.vc = ovc as u8;
@@ -604,7 +801,7 @@ impl Router {
                 }
 
                 if GATED {
-                    let cfg = self.sleep_cfg.expect("GATED implies a sleep config");
+                    let cfg = self.shape.sleep_cfg.expect("GATED implies a sleep config");
                     // Only FSM-blocked cycles are wake stalls; losing
                     // switch allocation to a sibling lane is ordinary
                     // contention, not a gating penalty.
@@ -727,7 +924,8 @@ mod tests {
 
     #[test]
     fn single_flit_passes_through() {
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, true));
         let out = r.step(to(Direction::East), |_, _| true, p.lane());
@@ -742,7 +940,8 @@ mod tests {
 
     #[test]
     fn wormhole_holds_lane_for_whole_packet() {
-        let mut r = Router::new(0, 8, 1);
+        let mut slabs = RouterSlabs::new(1, 8, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, false));
         r.accept(Direction::West, flit(1, false, false));
@@ -768,7 +967,8 @@ mod tests {
 
     #[test]
     fn no_credit_blocks() {
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, true));
         let out = r.step(to(Direction::East), |_, _| false, p.lane());
@@ -782,7 +982,8 @@ mod tests {
         // The head leaves but the lane stays Owned awaiting body flits:
         // the router is empty yet must not be treated as quiescent (the
         // held lane must not arbitrate).
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, false));
         let out = r.step(to(Direction::East), |_, _| true, p.lane());
@@ -793,7 +994,8 @@ mod tests {
 
     #[test]
     fn buffer_overflow_panics() {
-        let mut r = Router::new(0, 1, 1);
+        let mut slabs = RouterSlabs::new(1, 1, 1, None);
+        let mut r = slabs.router(0);
         r.accept(Direction::West, flit(1, true, true));
         assert!(!r.can_accept(Direction::West, 0));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -805,7 +1007,8 @@ mod tests {
     #[test]
     fn vc_buffers_are_independent() {
         // Filling VC 0 must leave VC 1 accepting, and vice versa.
-        let mut r = Router::new(0, 1, 2);
+        let mut slabs = RouterSlabs::new(1, 1, 2, None);
+        let mut r = slabs.router(0);
         r.accept(Direction::West, vflit(1, 0, true, true));
         assert!(!r.can_accept(Direction::West, 0));
         assert!(r.can_accept(Direction::West, 1));
@@ -819,7 +1022,8 @@ mod tests {
     #[test]
     fn ring_buffer_wraps_cleanly() {
         // Push/pop more flits than the depth so heads wrap around.
-        let mut r = Router::new(0, 3, 1);
+        let mut slabs = RouterSlabs::new(1, 3, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         for round in 0..5u64 {
             r.accept(Direction::West, flit(round, true, true));
@@ -838,7 +1042,8 @@ mod tests {
         // Local]. A single input port has one crossbar line, so the
         // two flits must leave on different cycles even though both
         // outputs are free.
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         r.accept(Direction::West, flit(1, true, true));
         r.accept(Direction::West, flit(2, true, true));
@@ -862,7 +1067,8 @@ mod tests {
         // Two single-flit packets on different VCs of the same input
         // port, to different outputs: one read per port per cycle, so
         // they leave on consecutive cycles.
-        let mut r = Router::new(0, 4, 2);
+        let mut slabs = RouterSlabs::new(1, 4, 2, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(2);
         r.accept(Direction::West, vflit(1, 0, true, true));
         r.accept(Direction::West, vflit(2, 1, true, true));
@@ -887,7 +1093,8 @@ mod tests {
         // VCs of the same output port: both win VC allocation, but the
         // port's single crossbar line carries one flit per cycle, and
         // switch allocation round-robins between the lanes.
-        let mut r = Router::new(0, 4, 2);
+        let mut slabs = RouterSlabs::new(1, 4, 2, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(2);
         for _ in 0..2 {
             r.accept(Direction::West, vflit(1, 0, true, true));
@@ -917,7 +1124,8 @@ mod tests {
     fn blocked_vc_does_not_block_its_sibling() {
         // VC 0 of the output has no credit; a packet on VC 1 must still
         // flow — the head-of-line blocking VCs exist to remove.
-        let mut r = Router::new(0, 4, 2);
+        let mut slabs = RouterSlabs::new(1, 4, 2, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(2);
         r.accept(Direction::West, vflit(1, 0, true, true));
         r.accept(Direction::North, vflit(2, 1, true, true));
@@ -939,7 +1147,8 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_between_competitors() {
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         // Two single-flit packets per input, both to East.
         for _ in 0..2 {
@@ -961,7 +1170,8 @@ mod tests {
 
     #[test]
     fn idle_runs_are_tracked_per_lane() {
-        let mut r = Router::new(0, 4, 2);
+        let mut slabs = RouterSlabs::new(1, 4, 2, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(2);
         // Three idle cycles on every lane.
         for _ in 0..3 {
@@ -981,8 +1191,8 @@ mod tests {
     #[test]
     fn sleeping_lane_stalls_flit_by_wake_latency() {
         let wake = 3u32;
-        let mut r = Router::with_gating(
-            0,
+        let mut slabs = RouterSlabs::new(
+            1,
             4,
             1,
             Some(SleepConfig {
@@ -990,6 +1200,7 @@ mod tests {
                 wake_latency: wake,
             }),
         );
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         // Idle past the threshold: the lane sleeps.
         for _ in 0..4 {
@@ -1023,7 +1234,8 @@ mod tests {
             policy: GatingPolicy::IdleThreshold(2),
             wake_latency: 1,
         };
-        let mut r = Router::with_gating(0, 8, 2, Some(cfg));
+        let mut slabs = RouterSlabs::new(1, 8, 2, Some(cfg));
+        let mut r = slabs.router(0);
         let mut p = Ports::new(2);
         // A long worm on VC 0 keeps the port busy…
         r.accept(Direction::West, vflit(1, 0, true, false));
@@ -1054,7 +1266,8 @@ mod tests {
 
     #[test]
     fn ungated_router_has_zero_counters() {
-        let mut r = Router::new(0, 4, 1);
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         for _ in 0..10 {
             let _ = r.step(to(Direction::East), |_, _| true, p.lane());
@@ -1065,8 +1278,8 @@ mod tests {
 
     #[test]
     fn never_policy_matches_ungated_behaviour_with_accounting() {
-        let mut r = Router::with_gating(
-            0,
+        let mut slabs = RouterSlabs::new(
+            1,
             4,
             1,
             Some(SleepConfig {
@@ -1074,6 +1287,7 @@ mod tests {
                 wake_latency: 1,
             }),
         );
+        let mut r = slabs.router(0);
         let mut p = Ports::new(1);
         for _ in 0..5 {
             let _ = r.step(to(Direction::East), |_, _| true, p.lane());
@@ -1100,8 +1314,10 @@ mod tests {
                     wake_latency: 2,
                 }),
             ] {
-                let mut slow = Router::with_gating(0, 4, vcs, gating);
-                let mut fast = Router::with_gating(0, 4, vcs, gating);
+                let mut slow_slabs = RouterSlabs::new(1, 4, vcs, gating);
+                let mut fast_slabs = RouterSlabs::new(1, 4, vcs, gating);
+                let mut slow = slow_slabs.router(0);
+                let mut fast = fast_slabs.router(0);
                 let mut sp = Ports::new(vcs);
                 let mut fp = Ports::new(vcs);
                 let mut x = 0x9e3779b97f4a7c15u64;
@@ -1157,5 +1373,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zeroed_slot_is_the_filler_and_real_flits_round_trip() {
+        assert_eq!(pack(&Flit::INVALID), [0; 3]);
+        assert_eq!(unpack(&[0; 3]), Flit::INVALID);
+        for f in [
+            flit(0, true, false),
+            Flit {
+                packet_id: u64::MAX - 1,
+                src: MAX_ROUTER_ID,
+                dst: MAX_ROUTER_ID - 1,
+                vc: (MAX_VCS - 1) as u8,
+                is_head: false,
+                is_tail: true,
+                injected_at: u64::MAX,
+            },
+        ] {
+            assert_ne!(pack(&f), [0; 3]);
+            assert_eq!(unpack(&pack(&f)), f);
+        }
+    }
+
+    #[test]
+    fn fresh_slabs_are_quiet_and_tiles_address_their_own_rows() {
+        let mut slabs = RouterSlabs::new(3, 2, 2, None);
+        for id in 0..3 {
+            let r = slabs.router(id);
+            assert!(r.is_quiet());
+            assert!(r.can_accept(Direction::North, 1));
+        }
+        {
+            let (_first, mut rest) = slabs.tile(0).split_at_mut(1);
+            let mut r = rest.router(1);
+            assert_eq!(r.id, 2);
+            r.accept(Direction::North, vflit(7, 1, true, false));
+            let mut seen = Vec::new();
+            rest.for_each_flit(1, |f| seen.push(f.packet_id));
+            assert_eq!(seen, vec![7]);
+            assert_eq!(rest.occupancy(1, Direction::North, 1), 1);
+        }
+        assert_eq!(slabs.occupancy(2, Direction::North, 1), 1);
+        assert_eq!(slabs.occupancy(1, Direction::North, 1), 0);
+        assert_eq!(slabs.total_occupancy(), 1);
+        assert!(!slabs.router(2).is_quiet());
     }
 }

@@ -21,10 +21,10 @@
 //! * [`SimKernel::Sharded`] — the active-set kernel, tiled: the mesh
 //!   is partitioned into full-width row bands
 //!   ([`crate::topology::TileMap`]), each band owns a contiguous slice
-//!   of every per-router SoA slab (buffers, lanes, credits, RNG
-//!   streams, source queues) plus its own worklist bitset, and bands
-//!   step concurrently on worker threads
-//!   ([`MeshConfig::shards`] / [`MeshConfig::threads`]).
+//!   of every per-router SoA slab (router buffers and lane owners,
+//!   idle/FSM/gating lanes, credits, RNG streams, source queues) plus
+//!   its own worklist bitset, and bands step concurrently on worker
+//!   threads ([`MeshConfig::shards`] / [`MeshConfig::threads`]).
 //!
 //! ## Why the sharded kernel is deterministic
 //!
@@ -103,11 +103,12 @@
 //!   and behind [`MeshConfig::validate_ejection`] in release, so sweep
 //!   binaries do not pay per-flit assertion cost.
 //! * The per-cycle scratch (transfers, idle-ended slice, worklist) is
-//!   reused across cycles and [`Router::step_fast`] is allocation-free,
-//!   so the steady-state loop performs no heap allocation.
+//!   reused across cycles and [`crate::router::Router::step_fast`] is
+//!   allocation-free, so the steady-state loop performs no heap
+//!   allocation.
 
 use crate::fault::{FaultPlan, FaultSchedule};
-use crate::router::{PortLane, RouteTarget, Router, MAX_VCS};
+use crate::router::{PortLane, RouteTarget, RouterSlabs, RouterTile, MAX_ROUTER_ID, MAX_VCS};
 use crate::shard::{boundary_mailboxes, BoundaryMsg};
 use crate::sleep::{SleepConfig, SleepFsm};
 use crate::stats::NetworkStats;
@@ -457,8 +458,9 @@ const PACKET_SEQ_BITS: u32 = 40;
 /// cross-node coordination (the property that lets tiled injection run
 /// in parallel). Uniqueness: sources are distinct in the high bits and
 /// sequences in the low bits; the result can never collide with
-/// [`Flit::INVALID`] (`u64::MAX`) while `src < 2^24 − 1`, far above
-/// any simulable mesh.
+/// [`Flit::INVALID`] (`u64::MAX`) while `src < 2^24 − 1`, which
+/// [`Simulation::new`] guarantees by rejecting meshes of more than
+/// [`Simulation::MAX_ROUTERS`] routers.
 pub(crate) fn packet_id(src: usize, seq: u64) -> u64 {
     debug_assert!((src as u64) < (1 << (64 - PACKET_SEQ_BITS)) - 1);
     debug_assert!(seq < (1 << PACKET_SEQ_BITS));
@@ -488,7 +490,10 @@ struct Transfer {
 /// A running mesh simulation.
 ///
 /// All per-router state lives in network-wide SoA slabs ordered by
-/// router id. Because the tile partition is made of full-width row
+/// router id — the routers themselves included: buffers, lane owners
+/// and round-robin pointers are [`RouterSlabs`] columns, so no router
+/// owns heap memory and construction is one allocation per slab, not
+/// per router. Because the tile partition is made of full-width row
 /// bands ([`TileMap`]), every shard owns a *contiguous* slice of every
 /// slab — the sharded runner carves the slabs with `split_at_mut` and
 /// hands each worker a [`ShardView`] of disjoint slices, no index
@@ -499,7 +504,8 @@ pub struct Simulation {
     /// The resolved kernel actually executing (`Auto` already mapped).
     kernel: SimKernel,
     mesh: Mesh,
-    routers: Vec<Router>,
+    /// Every router's buffers, lane owners and round-robin pointers.
+    routers: RouterSlabs,
     /// Source queues: packet descriptors wait here until the local port
     /// accepts; flits are synthesized on acceptance.
     source_queues: Vec<VecDeque<SourcePacket>>,
@@ -707,13 +713,15 @@ struct EventState {
 /// One worker's mutable window onto a tile: disjoint slices of every
 /// per-router slab, plus the tile's scratch. Local index `lr`
 /// addresses global router `base + lr`; lane arrays are indexed
-/// `lr * 5V + port * V + vc`.
+/// `lr * 5V + port * V + vc`. The routers' own slabs come as one
+/// [`RouterTile`], from which the tile's code borrows a per-router
+/// [`crate::router::Router`] view for each step, accept or purge.
 #[derive(Debug)]
 struct ShardView<'a> {
     base: usize,
     len: usize,
     scratch: &'a mut ShardScratch,
-    routers: &'a mut [Router],
+    routers: RouterTile<'a>,
     source_queues: &'a mut [VecDeque<SourcePacket>],
     source_on: &'a mut [bool],
     next_offer: &'a mut [u64],
@@ -782,20 +790,40 @@ struct RunCtx<'a> {
     abort: &'a Mutex<Option<SimAbort>>,
 }
 
+// Every router id a simulation hands out fits the router slabs' packed
+// flit slots.
+const _: () = assert!(Simulation::MAX_ROUTERS - 1 <= MAX_ROUTER_ID);
+
 impl Simulation {
+    /// Largest mesh (in routers) a simulation accepts: packet ids carry
+    /// the source router in the 24 bits above a 40-bit per-source
+    /// sequence number, and every id must stay below
+    /// [`Flit::INVALID`]'s, so router ids must stay below `2^24 − 1`.
+    pub const MAX_ROUTERS: usize = (1 << (64 - PACKET_SEQ_BITS)) - 2;
+
     /// Builds the network.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate configuration (empty mesh, zero-length
-    /// packets, zero buffers, a VC count outside `1..=`[`MAX_VCS`], a
-    /// zero source-queue cap, an [`GatingPolicy::Oracle`] in-loop
-    /// policy — the oracle needs future knowledge and only exists
-    /// offline — or a bursty process with zero mean dwell times).
+    /// Panics on a degenerate configuration (empty mesh, more than
+    /// [`Simulation::MAX_ROUTERS`] routers, zero-length packets, zero
+    /// buffers, a VC count outside `1..=`[`MAX_VCS`], a zero
+    /// source-queue cap, an [`GatingPolicy::Oracle`] in-loop policy —
+    /// the oracle needs future knowledge and only exists offline — or
+    /// a bursty process with zero mean dwell times).
     pub fn new(cfg: MeshConfig) -> Self {
         assert!(
             cfg.width >= 2 && cfg.height >= 2,
             "mesh must be at least 2×2"
+        );
+        assert!(
+            cfg.width
+                .checked_mul(cfg.height)
+                .is_some_and(|n| n <= Simulation::MAX_ROUTERS),
+            "a {}×{} mesh exceeds the {} routers packet ids can address",
+            cfg.width,
+            cfg.height,
+            Simulation::MAX_ROUTERS
         );
         assert!(cfg.packet_len_flits >= 1, "packets need at least one flit");
         assert!(cfg.buffer_depth >= 1, "buffers need at least one slot");
@@ -933,9 +961,7 @@ impl Simulation {
         let sim = Simulation {
             mesh,
             kernel,
-            routers: (0..n)
-                .map(|id| Router::with_gating(id, cfg.buffer_depth, v, cfg.gating))
-                .collect(),
+            routers: RouterSlabs::new(n, cfg.buffer_depth, v, cfg.gating),
             source_queues: vec![VecDeque::new(); n],
             source_on: vec![true; n],
             next_offer,
@@ -1070,8 +1096,7 @@ impl Simulation {
             .flat_map(|q| q.iter())
             .map(|p| p.remaining_flits(len))
             .sum();
-        let buffered: usize = self.routers.iter().map(Router::total_occupancy).sum();
-        queued + buffered as u64
+        queued + self.routers.total_occupancy() as u64
     }
 
     /// Flits injected since construction (all cycles, not just the
@@ -1164,7 +1189,7 @@ impl Simulation {
                     Some(next) => {
                         for vc in 0..v {
                             let held = self.credits[rid * lanes + d.index() * v + vc];
-                            let buffered = self.routers[next].occupancy(d.opposite(), vc) as u32;
+                            let buffered = self.routers.occupancy(next, d.opposite(), vc) as u32;
                             assert_eq!(
                                 held + buffered,
                                 depth,
@@ -1302,7 +1327,7 @@ impl Simulation {
             // slices (tiles are contiguous id ranges by construction).
             let mut views: Vec<ShardView<'_>> = Vec::with_capacity(shard_count);
             {
-                let mut routers = routers.as_mut_slice();
+                let mut routers = routers.tile(0);
                 let mut source_queues = source_queues.as_mut_slice();
                 let mut source_on = source_on.as_mut_slice();
                 let mut next_offer = next_offer.as_mut_slice();
@@ -1565,7 +1590,7 @@ fn assert_credit_sync(views: &[ShardView<'_>], ctx: &RunCtx<'_>) {
                         Some(next) => {
                             let owner = &views[ctx.tiles.shard_of(next)];
                             let buffered =
-                                owner.routers[next - owner.base].occupancy(d.opposite(), vc) as u32;
+                                owner.routers.occupancy(next - owner.base, d.opposite(), vc) as u32;
                             assert_eq!(
                                 held + buffered,
                                 depth,
@@ -1739,7 +1764,9 @@ impl ShardView<'_> {
                         BoundaryMsg::Arrival { rid, port, flit } => {
                             let rid = rid as usize;
                             let lr = rid - self.base;
-                            self.routers[lr].accept(Direction::from_index(port as usize), flit);
+                            self.routers
+                                .router(lr)
+                                .accept(Direction::from_index(port as usize), flit);
                             self.scratch.buffered_flits += 1;
                             if let Some(s) = stats.as_mut() {
                                 s.router_activity[lr].buffer_writes += 1;
@@ -1935,7 +1962,7 @@ impl ShardView<'_> {
         for lr in 0..self.len {
             let rid = self.base + lr;
             let doomed = &mut slot.doomed;
-            self.routers[lr].for_each_flit(|f| {
+            self.routers.for_each_flit(lr, |f| {
                 if path_diverges(ctx, old, new, rid, f.dst) {
                     doomed.push(f.packet_id);
                 }
@@ -1980,17 +2007,20 @@ impl ShardView<'_> {
         let mut unroutable = 0u64;
         for lr in 0..self.len {
             let rid = self.base + lr;
-            let removed = self.routers[lr].purge_packets(is_doomed, |lane, _flit| {
-                let port = Direction::from_index(lane / v);
-                if port != Direction::Local {
-                    let up = ctx
-                        .neighbors
-                        .get(rid, port)
-                        .expect("buffered flits arrived over an existing link");
-                    let glane = up * lanes + port.opposite().index() * v + (lane % v);
-                    returns.push((glane as u64, 1));
-                }
-            });
+            let removed = self
+                .routers
+                .router(lr)
+                .purge_packets(is_doomed, |lane, _flit| {
+                    let port = Direction::from_index(lane / v);
+                    if port != Direction::Local {
+                        let up = ctx
+                            .neighbors
+                            .get(rid, port)
+                            .expect("buffered flits arrived over an existing link");
+                        let glane = up * lanes + port.opposite().index() * v + (lane % v);
+                        returns.push((glane as u64, 1));
+                    }
+                });
             dropped_flits += removed as u64;
             self.scratch.buffered_flits -= removed as u64;
             let q = &mut self.source_queues[lr];
@@ -2174,9 +2204,13 @@ impl ShardView<'_> {
         len: usize,
         stats: &mut Option<NetworkStats>,
     ) -> u64 {
+        if self.source_queues[l].is_empty() {
+            return 0;
+        }
+        let mut router = self.routers.router(l);
         let mut drained = 0u64;
         while let Some(pkt) = self.source_queues[l].front_mut() {
-            if !self.routers[l].can_accept(Direction::Local, pkt.vc as usize) {
+            if !router.can_accept(Direction::Local, pkt.vc as usize) {
                 break;
             }
             let flit = pkt
@@ -2186,7 +2220,7 @@ impl ShardView<'_> {
             if done {
                 self.source_queues[l].pop_front();
             }
-            self.routers[l].accept(Direction::Local, flit);
+            router.accept(Direction::Local, flit);
             self.scratch.buffered_flits += 1;
             self.scratch.queued_flits -= 1;
             drained += 1;
@@ -2511,7 +2545,7 @@ impl ShardView<'_> {
                         Some(next) => {
                             debug_assert!(self.contains(next), "reference runs one tile");
                             depth
-                                - self.routers[next - self.base].occupancy(d.opposite(), vc) as u32
+                                - self.routers.occupancy(next - self.base, d.opposite(), vc) as u32
                         }
                         None => 0,
                     };
@@ -2616,7 +2650,8 @@ impl ShardView<'_> {
                 };
                 let mut departed = 0u64;
                 let mut link_departed = 0u64;
-                let outcome = routers[lr].step_fast(route, ready, lane, |dep| {
+                let mut router = routers.router(lr);
+                let outcome = router.step_fast(route, ready, lane, |dep| {
                     departed += 1;
                     if dep.output != Direction::Local {
                         link_departed += 1;
@@ -2656,7 +2691,7 @@ impl ShardView<'_> {
                 // the source queue are the whole predicate. (The
                 // reference kernel refills its worklist every cycle,
                 // so retiring is moot there.)
-                if retire && routers[lr].is_quiet() && source_queues[lr].is_empty() {
+                if retire && router.is_quiet() && source_queues[lr].is_empty() {
                     active_bits[w] &= !(1u64 << b);
                     last_stepped[lr] = cycle;
                 }
@@ -2725,7 +2760,9 @@ impl ShardView<'_> {
                             [(from - self.base) * lanes + d.index() * v + t.flit.vc as usize] -= 1;
                     }
                     if self.contains(next) {
-                        self.routers[next - self.base].accept(d.opposite(), t.flit);
+                        self.routers
+                            .router(next - self.base)
+                            .accept(d.opposite(), t.flit);
                         if maintain {
                             // The receiver was already accounted idle
                             // for this whole cycle; it steps from the
@@ -2889,11 +2926,11 @@ impl ShardView<'_> {
         let mut report = String::new();
         let mut shown = 0usize;
         let mut blocked = 0usize;
-        for (lr, r) in self.routers.iter().enumerate() {
+        for lr in 0..self.len {
             let rid = self.base + lr;
             for d in Direction::ALL {
                 for vc in 0..v {
-                    let occ = r.occupancy(d, vc);
+                    let occ = self.routers.occupancy(lr, d, vc);
                     if occ == 0 {
                         continue;
                     }
@@ -2913,9 +2950,9 @@ impl ShardView<'_> {
             Some(fm) => {
                 let mut routable = 0u64;
                 let mut stranded = 0u64;
-                for (lr, r) in self.routers.iter().enumerate() {
+                for lr in 0..self.len {
                     let rid = self.base + lr;
-                    r.for_each_flit(|f| {
+                    self.routers.for_each_flit(lr, |f| {
                         if fm.reachable(rid, f.dst) {
                             routable += 1;
                         } else {
@@ -3189,6 +3226,18 @@ mod tests {
     fn zero_source_queue_cap_rejected() {
         let _ = Simulation::new(MeshConfig {
             source_queue_cap: 0,
+            ..base_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "routers packet ids can address")]
+    fn oversized_mesh_rejected() {
+        // 4096 × 4096 = 2^24 routers, one more than the cap; rejected
+        // before anything is allocated.
+        let _ = Simulation::new(MeshConfig {
+            width: 4096,
+            height: 4096,
             ..base_cfg()
         });
     }

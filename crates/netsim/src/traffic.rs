@@ -264,6 +264,12 @@ pub struct GapSampler {
     /// underflow to `0.0` for any `q < 1`, which the descent treats as
     /// "never survives that long" — exactly right.
     pows: [f64; 63],
+    /// Descent length for `u > 0`: the number of leading `pows` entries
+    /// at or above `2⁻⁵³`, the smallest nonzero variate. The entries
+    /// are nonincreasing, and past them every candidate product is at
+    /// most its entry, below any `u > 0`, so those bits are never
+    /// taken.
+    top: usize,
 }
 
 impl GapSampler {
@@ -277,7 +283,9 @@ impl GapSampler {
             *slot = acc;
             acc *= acc;
         }
-        GapSampler { q, pows }
+        let min_u = 1.0 / (1u64 << 53) as f64;
+        let top = pows.iter().take_while(|&&pw| pw >= min_u).count();
+        GapSampler { q, pows, top }
     }
 
     /// Draws one gap `G ≥ 1` (consuming exactly one `next_u64`).
@@ -294,9 +302,16 @@ impl GapSampler {
         if self.q <= u {
             return 1;
         }
+        self.descend(u)
+    }
+
+    /// The descent for a variate `u < q`: skips the bits no `u > 0`
+    /// can take (see `top`), and walks all 63 for `u = 0`.
+    fn descend(&self, u: f64) -> u64 {
+        let steps = if u > 0.0 { self.top } else { self.pows.len() };
         let mut m = 0u64;
         let mut prod = 1.0f64;
-        for (j, &pw) in self.pows.iter().enumerate().rev() {
+        for (j, &pw) in self.pows[..steps].iter().enumerate().rev() {
             let cand = prod * pw;
             if cand > u {
                 m |= 1 << j;
@@ -816,6 +831,43 @@ mod tests {
         }
         let never = GapSampler::new(0.0);
         assert!(never.sample(&mut rng) > 1 << 62);
+    }
+
+    #[test]
+    fn shortened_descent_matches_the_full_walk() {
+        // Reference: the full 63-step descent.
+        fn full(gap: &GapSampler, u: f64) -> u64 {
+            let mut m = 0u64;
+            let mut prod = 1.0f64;
+            for (j, &pw) in gap.pows.iter().enumerate().rev() {
+                let cand = prod * pw;
+                if cand > u {
+                    m |= 1 << j;
+                    prod = cand;
+                }
+            }
+            m + 1
+        }
+        for p in [5e-8, 2e-6, 0.025, 0.3, 1.0, 1e-12] {
+            let gap = GapSampler::new(p);
+            for seed in 0..2_000u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..2 {
+                    let mut peek = rng.clone();
+                    let u = (peek.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                    let expect = if gap.q <= u { 1 } else { full(&gap, u) };
+                    assert_eq!(gap.sample(&mut rng), expect, "p {p} seed {seed}");
+                }
+            }
+            // The smallest nonzero variate, and u = 0 (full walk).
+            let min_u = 1.0 / (1u64 << 53) as f64;
+            if gap.q > min_u {
+                assert_eq!(gap.descend(min_u), full(&gap, min_u), "p {p}");
+            }
+            if gap.q > 0.0 {
+                assert_eq!(gap.descend(0.0), full(&gap, 0.0), "p {p}");
+            }
+        }
     }
 
     #[test]

@@ -73,8 +73,9 @@ impl fmt::Display for GatingPolicy {
 
 /// Histogram of idle-interval lengths in cycles.
 ///
-/// Bin `k` counts intervals of exactly `k` cycles (bin 0 unused); a
-/// final overflow bin aggregates everything ≥ the configured cap.
+/// Intervals shorter than the configured cap are binned exactly by
+/// length; intervals of the cap and longer share one overflow bin that
+/// keeps their count and their exact total length.
 ///
 /// *Closed* intervals (ended by a wakeup) and *open* intervals (still
 /// running when the measurement window closed) are tracked separately:
@@ -83,40 +84,27 @@ impl fmt::Display for GatingPolicy {
 /// penalty. Use [`IdleHistogram::record`] for closed intervals and
 /// [`IdleHistogram::record_open`] for trailing open ones.
 ///
-/// The bin array is allocated **lazily on the first recorded
-/// interval**: a network simulation keeps five histograms per router,
-/// and at the low injection rates the leakage study sweeps most ports
-/// record nothing (or only a trailing open run) — eager allocation
-/// would cost `routers × 5 × (cap + 1)` zeroed words per run (168 MB
-/// for a 32×32 mesh at the default cap) before a single cycle is
-/// simulated. Equality compares *contents*, so an unallocated
-/// histogram equals an allocated all-zero one of the same cap.
-#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
+/// The exact bins **grow on demand**: a histogram holds bins only up to
+/// the longest exact length it has recorded, never `cap` of them up
+/// front. A network simulation keeps one histogram per output VC lane
+/// and most lanes record a handful of short intervals (or only a
+/// trailing open run), so memory and merge cost follow what was
+/// recorded rather than the cap. Equality compares *contents*: the
+/// bins end at the longest recorded length whatever order the
+/// intervals arrived in, so equal contents have equal bins.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
-    /// Configured maximum exactly-binned length.
+    /// Configured cap: lengths `< cap` are binned exactly.
     cap: usize,
-    /// Bin `k` counts intervals of exactly `k` cycles; empty until the
-    /// first record, then `cap + 1` entries (last = overflow).
+    /// Bin `k` counts closed intervals of exactly `k` cycles (bin 0
+    /// unused); holds bins up to the longest recorded exact length, so
+    /// the last bin, if any, is nonzero.
     counts: Vec<u64>,
+    /// Closed intervals of `cap` cycles or longer.
+    overflow_n: u64,
+    /// Total length of the overflow intervals.
     overflow_len_sum: u64,
     open_runs: Vec<u64>,
-}
-
-impl PartialEq for IdleHistogram {
-    fn eq(&self, other: &Self) -> bool {
-        // Content equality: missing bins are implicit zeros.
-        let zeros = |h: &IdleHistogram| h.counts.iter().all(|&c| c == 0);
-        let counts_eq = if self.counts.len() == other.counts.len() {
-            self.counts == other.counts
-        } else {
-            // One side unallocated: equal iff the other is all-zero.
-            zeros(self) && zeros(other)
-        };
-        self.cap == other.cap
-            && counts_eq
-            && self.overflow_len_sum == other.overflow_len_sum
-            && self.open_runs == other.open_runs
-    }
 }
 
 impl IdleHistogram {
@@ -126,6 +114,7 @@ impl IdleHistogram {
         IdleHistogram {
             cap: max_len,
             counts: Vec::new(),
+            overflow_n: 0,
             overflow_len_sum: 0,
             open_runs: Vec::new(),
         }
@@ -142,20 +131,20 @@ impl IdleHistogram {
     }
 
     /// Records `count` idle intervals of `len` cycles each in O(1)
-    /// (0-length or 0-count ignored).
+    /// amortized (0-length or 0-count ignored).
     pub fn record_n(&mut self, len: u64, count: u64) {
         if len == 0 || count == 0 {
             return;
         }
-        if self.counts.is_empty() {
-            self.counts = vec![0; self.cap + 1];
-        }
-        let cap = self.cap as u64;
-        if len >= cap {
-            *self.counts.last_mut().expect("non-empty") += count;
+        if len >= self.cap as u64 {
+            self.overflow_n += count;
             self.overflow_len_sum += len * count;
         } else {
-            self.counts[len as usize] += count;
+            let len = len as usize;
+            if len >= self.counts.len() {
+                self.counts.resize(len + 1, 0);
+            }
+            self.counts[len] += count;
         }
     }
 
@@ -172,7 +161,7 @@ impl IdleHistogram {
 
     /// Number of recorded intervals (closed + open).
     pub fn interval_count(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.open_runs.len() as u64
+        self.counts.iter().sum::<u64>() + self.overflow_n + self.open_runs.len() as u64
     }
 
     /// Total idle cycles across all intervals (closed + open).
@@ -181,7 +170,6 @@ impl IdleHistogram {
             .counts
             .iter()
             .enumerate()
-            .take(self.cap)
             .map(|(len, &n)| len as u64 * n)
             .sum();
         in_bins + self.overflow_len_sum + self.open_runs.iter().sum::<u64>()
@@ -192,15 +180,16 @@ impl IdleHistogram {
     /// length). Open intervals are exposed by
     /// [`IdleHistogram::open_runs`].
     pub fn iter_lengths(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let overflow_n = self.counts.get(self.cap).copied().unwrap_or(0);
-        let overflow_avg = self.overflow_len_sum.checked_div(overflow_n).unwrap_or(0);
+        let overflow_avg = self
+            .overflow_len_sum
+            .checked_div(self.overflow_n)
+            .unwrap_or(0);
         self.counts
             .iter()
             .enumerate()
-            .take(self.cap)
             .filter(|(_, &n)| n > 0)
             .map(|(len, &n)| (len as u64, n))
-            .chain((overflow_n > 0).then_some((overflow_avg, overflow_n)))
+            .chain((self.overflow_n > 0).then_some((overflow_avg, self.overflow_n)))
     }
 
     /// Lengths of the intervals that were still open at the end of the
@@ -209,21 +198,22 @@ impl IdleHistogram {
         &self.open_runs
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram of the same cap into this one, bin by
+    /// bin (growing this one's bins to cover the other's).
     ///
     /// # Panics
     ///
-    /// Panics if the histograms have different bin counts.
+    /// Panics if the histograms have different caps (use
+    /// [`IdleHistogram::merge_rebinned`] for those).
     pub fn merge(&mut self, other: &IdleHistogram) {
-        assert_eq!(self.cap, other.cap, "bin count mismatch");
-        if !other.counts.is_empty() {
-            if self.counts.is_empty() {
-                self.counts = vec![0; self.cap + 1];
-            }
-            for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                *a += b;
-            }
+        assert_eq!(self.cap, other.cap, "histogram cap mismatch");
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.overflow_n += other.overflow_n;
         self.overflow_len_sum += other.overflow_len_sum;
         self.open_runs.extend_from_slice(&other.open_runs);
     }
@@ -238,10 +228,10 @@ impl IdleHistogram {
         if self.cap == other.cap {
             return self.merge(other);
         }
-        for (len, &n) in other.counts.iter().enumerate().take(other.cap) {
+        for (len, &n) in other.counts.iter().enumerate() {
             self.record_n(len as u64, n);
         }
-        let overflow_n = other.counts.get(other.cap).copied().unwrap_or(0);
+        let overflow_n = other.overflow_n;
         if let Some(avg) = other.overflow_len_sum.checked_div(overflow_n) {
             let rem = other.overflow_len_sum - avg * overflow_n;
             self.record_n(avg, overflow_n - rem);
@@ -575,6 +565,28 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.interval_count(), 11);
         assert_eq!(a.total_idle_cycles(), 3 * 5 + 31 * 2 + 100 * 4);
+    }
+
+    #[test]
+    fn bins_grow_only_to_the_longest_exact_length() {
+        let mut h = IdleHistogram::new(4096);
+        for len in 0..=10 {
+            h.record_n(len, 3);
+        }
+        h.record(5000); // overflow: no exact bin
+        h.record_open(9000);
+        assert!(h.counts.len() <= 11, "{} bins", h.counts.len());
+        let mut m = IdleHistogram::new(4096);
+        m.merge(&h);
+        assert!(m.counts.len() <= 11);
+        assert_eq!(m, h);
+        assert_eq!(h.interval_count(), 3 * 10 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "cap mismatch")]
+    fn merge_rejects_a_different_cap() {
+        IdleHistogram::new(8).merge(&IdleHistogram::new(9));
     }
 
     #[test]
