@@ -7,8 +7,9 @@
 //! **virtual channels with credit-based flow control** ([`router`]),
 //! dimension-order routing with **dateline VC switching** on the torus
 //! (deadlock-free DOR at `vcs ≥ 2`), synthetic traffic patterns (with
-//! Bernoulli or bursty ON–OFF injection) and — crucially — per-VC-lane
-//! **idle-interval histograms** plus an **in-loop sleep FSM** per
+//! Bernoulli or bursty ON–OFF injection) and — crucially — a
+//! network-wide **idle-interval histogram** of every VC lane's idle
+//! runs plus an **in-loop sleep FSM** per
 //! output VC lane ([`sleep`]), so power gating is simulated where it
 //! belongs: inside the cycle loop, where wake latency back-pressures
 //! real flits and an empty VC bank can sleep while its sibling carries
@@ -98,12 +99,13 @@ pub mod sync;
 pub mod topology;
 pub mod traffic;
 mod wheel;
+mod worklist;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use lnoc_power::gating::GatingPolicy;
 pub use router::{RouteTarget, MAX_VCS};
 pub use sim::{MeshConfig, SimAbort, SimKernel, Simulation};
 pub use sleep::{SleepConfig, SleepState};
-pub use stats::{IdleBank, NetworkStats};
+pub use stats::NetworkStats;
 pub use topology::FaultMap;
 pub use traffic::{Flit, GapSampler, InjectionProcess, TrafficPattern};

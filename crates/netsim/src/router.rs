@@ -124,8 +124,18 @@ pub(crate) const MAX_ROUTER_ID: usize = (1 << 24) - 2;
 /// * word 0 — `packet_id + 1` (`0` = no flit: [`Flit::INVALID`]'s id
 ///   `u64::MAX` wraps to it, so the empty slot decodes to the filler);
 /// * word 1 — `injected_at`;
-/// * word 2 — `src | dst << 24 | vc << 48 | is_head << 56 | is_tail << 57`.
+/// * word 2 — `src | dst << 24 | vc << 48 | is_head << 56 | is_tail << 57
+///   | route << 58`, where `route` (6 bits) memoizes the flit's output
+///   lane at this router plus one (`0` = not routed yet; lanes are
+///   below [`MAX_LANES`] `= 40`).
+///
+/// [`pack`] leaves the route memo clear, so every buffer write — a hop
+/// to the next router, or the fault purge's re-push of every buffered
+/// flit at each fault epoch — makes the flit route afresh.
 type Slot = [u64; 3];
+
+/// Bit offset of the route memo in a slot's word 2.
+const ROUTE_SHIFT: u32 = 58;
 
 fn pack(f: &Flit) -> Slot {
     debug_assert!(f.src <= MAX_ROUTER_ID && f.dst <= MAX_ROUTER_ID);
@@ -639,11 +649,13 @@ impl Router<'_> {
     /// One VC-allocation + switch-allocation + traversal cycle.
     ///
     /// `route` maps a flit to its [`RouteTarget`] (output port + output
-    /// VC); `lane_ready` reports whether the output lane holds a credit
-    /// (a free slot in the downstream VC buffer; the ejection port
-    /// always sinks) — callers must evaluate it against cycle-start
-    /// credit state so results are independent of router iteration
-    /// order. `ports` is this router's block of the simulation-owned
+    /// VC). It must answer the same for a flit as long as the flit sits
+    /// in this router: the answer is memoized in the flit's buffer slot
+    /// and asked again only after the flit is re-buffered. `lane_ready`
+    /// reports whether the output lane holds a credit (a free slot in
+    /// the downstream VC buffer; the ejection port always sinks) —
+    /// callers must evaluate it against cycle-start credit state so
+    /// results are independent of router iteration order. `ports` is this router's block of the simulation-owned
     /// SoA lane state (idle runs, sleep FSMs, gating counters, and the
     /// `idle_ended` out-slice).
     ///
@@ -698,23 +710,36 @@ impl Router<'_> {
         let mut input_used = [false; 5];
         ports.idle_ended[..nlanes].fill(0);
 
-        // Route every occupied input lane's front flit once (≤ 5·V
-        // route lookups), and build a per-output-lane mask of waiting
-        // head flits so lanes nobody requests skip the VC-allocation
-        // scan entirely.
+        // Route every occupied input lane's front flit — once per hop:
+        // the output lane is memoized in the flit's buffer slot, so a
+        // flit blocked for many cycles routes only on its first — and
+        // build a per-output-lane mask of waiting head flits so lanes
+        // nobody requests skip the VC-allocation scan entirely.
         let mut want = [NO_WANT; MAX_LANES];
         let mut head = [false; MAX_LANES];
         let mut head_wants = 0u64;
+        let depth = self.shape.depth as usize;
         for il in 0..nlanes {
-            if let Some(f) = self.front(il) {
-                debug_assert!(!f.is_invalid(), "routing a filler flit");
-                let t = route(&f);
-                let ol = t.out.index() * v + t.vc as usize;
-                want[il] = ol as u8;
-                head[il] = f.is_head;
-                if f.is_head {
-                    head_wants |= 1 << ol;
+            if self.len[il] == 0 {
+                continue;
+            }
+            let slot = &mut self.slots[il * depth + self.head[il] as usize];
+            let is_head = slot[2] >> 56 & 1 != 0;
+            let ol = match slot[2] >> ROUTE_SHIFT {
+                0 => {
+                    let f = unpack(slot);
+                    debug_assert!(!f.is_invalid(), "routing a filler flit");
+                    let t = route(&f);
+                    let ol = t.out.index() * v + t.vc as usize;
+                    slot[2] |= (ol as u64 + 1) << ROUTE_SHIFT;
+                    ol
                 }
+                memo => memo as usize - 1,
+            };
+            want[il] = ol as u8;
+            head[il] = is_head;
+            if is_head {
+                head_wants |= 1 << ol;
             }
         }
 
@@ -1373,6 +1398,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn flits_route_once_per_hop_and_again_after_a_purge() {
+        use std::cell::Cell;
+        let calls = Cell::new(0usize);
+        let route = |_: &Flit| {
+            calls.set(calls.get() + 1);
+            RouteTarget {
+                out: Direction::East,
+                vc: 0,
+            }
+        };
+        let mut slabs = RouterSlabs::new(1, 4, 1, None);
+        let mut r = slabs.router(0);
+        let mut p = Ports::new(1);
+        for id in 1..=3 {
+            r.accept(Direction::West, flit(id, true, true));
+        }
+        r.accept(Direction::North, flit(4, true, true));
+        // Blocked for several cycles: each input front routes once.
+        for _ in 0..5 {
+            let out = r.step(route, |_, _| false, p.lane());
+            assert_eq!(out.departures().count(), 0);
+        }
+        assert_eq!(calls.get(), 2);
+        // Draining: every later front routes once as it reaches the
+        // head of its buffer — one call per flit in all.
+        while r.total_occupancy() > 0 {
+            r.step(route, |_, _| true, p.lane());
+        }
+        assert_eq!(calls.get(), 4);
+
+        // A fault purge re-buffers the survivors, which route afresh.
+        r.accept(Direction::West, flit(5, true, true));
+        r.accept(Direction::North, flit(6, true, true));
+        r.step(route, |_, _| false, p.lane());
+        r.step(route, |_, _| false, p.lane());
+        assert_eq!(calls.get(), 6);
+        assert_eq!(r.purge_packets(|_| false, |_, _| {}), 0);
+        r.step(route, |_, _| false, p.lane());
+        r.step(route, |_, _| false, p.lane());
+        assert_eq!(calls.get(), 8);
     }
 
     #[test]

@@ -116,6 +116,7 @@ use crate::sync::{Mailboxes, PoisonGuard, ShardSlots, SpinBarrier};
 use crate::topology::{Direction, FaultMap, Mesh, NeighborTable, RouteTable, TileMap};
 use crate::traffic::{Flit, GapSampler, InjectionProcess, SourcePacket, TrafficPattern};
 use crate::wheel::TimeWheel;
+use crate::worklist::Worklist;
 use lnoc_power::gating::{GatingCounters, GatingPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -584,11 +585,12 @@ struct ShardScratch {
     base: usize,
     /// Routers in the tile.
     len: usize,
-    /// The tile's worklist as a bitset over *local* router indices
-    /// (bit `lr` set ⇔ router `base + lr` steps this cycle). A bitset
-    /// keeps the traversal in router-index order — cache-linear over
-    /// the tile's slice of the router array and the SoA lanes.
-    active_bits: Vec<u64>,
+    /// The tile's worklist over *local* router indices (`lr` on it ⇔
+    /// router `base + lr` steps this cycle). A two-level bitset keeps
+    /// the traversal in router-index order — cache-linear over the
+    /// tile's slice of the router slabs and the SoA lanes — at a cost
+    /// proportional to the active routers, not the tile.
+    active: Worklist,
     /// Reused per-cycle scratch: departures waiting to be applied.
     transfers: Vec<Transfer>,
     /// Reused per-router scratch for [`PortLane::idle_ended`].
@@ -670,7 +672,11 @@ struct ShardScratch {
 /// * **Bernoulli** — the wheel mirrors the shared renewal chain
 ///   (`Simulation::next_offer`): each router's next arrival cycle was
 ///   produced by one [`GapSampler`] draw, so entries are scheduled
-///   once at run start and persist across fault epochs. A router that
+///   once at run start and persist across fault epochs. Only arrivals
+///   up to the run's last cycle go on the wheel; a later one waits in
+///   `next_offer` for the next run's re-arm, so the wheel holds this
+///   run's events and nothing else (at 5e-8 on a million routers,
+///   almost every renewal slot lies past the run). A router that
 ///   is dead when its slot fires is a *miss*: no destination draw,
 ///   just the re-arm gap draw — the identical sequence the per-cycle
 ///   kernels consume in their lazy catch-up loop, so bit-identity
@@ -788,6 +794,13 @@ struct RunCtx<'a> {
     /// so the first writer's value is the value); read by
     /// [`Simulation::try_run`] after the workers join.
     abort: &'a Mutex<Option<SimAbort>>,
+}
+
+impl RunCtx<'_> {
+    /// The run's last cycle (the final measured cycle).
+    fn last_cycle(&self) -> u64 {
+        self.start_cycle + self.warmup + self.measure
+    }
 }
 
 // Every router id a simulation hands out fits the router slabs' packed
@@ -922,7 +935,7 @@ impl Simulation {
                     shard: s,
                     base: range.start,
                     len: range.len(),
-                    active_bits: vec![0; range.len().div_ceil(64)],
+                    active: Worklist::new(range.len()),
                     transfers: Vec::new(),
                     idle_ended: vec![0; lanes],
                     outgoing: vec![Vec::new(); tiles.neighbors(s).len()],
@@ -996,10 +1009,7 @@ impl Simulation {
         // begin empty and fill from injection. Even gated networks
         // need no initial members — an idle lane's walk to sleep is
         // replayed in closed form when the router first activates.
-        debug_assert!(sim
-            .scratch
-            .iter()
-            .all(|s| s.active_bits.iter().all(|&w| w == 0)));
+        debug_assert!(sim.scratch.iter().all(|s| s.active.is_empty()));
         sim
     }
 
@@ -1041,12 +1051,7 @@ impl Simulation {
     pub fn active_router_count(&self) -> usize {
         match self.kernel {
             SimKernel::Reference => self.mesh.len(),
-            _ => self
-                .scratch
-                .iter()
-                .flat_map(|s| s.active_bits.iter())
-                .map(|w| w.count_ones() as usize)
-                .sum(),
+            _ => self.scratch.iter().map(|s| s.active.count()).sum(),
         }
     }
 
@@ -1405,7 +1410,7 @@ impl Simulation {
                         continue;
                     };
                     for lr in 0..sc.len {
-                        if sc.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0 {
+                        if sc.active.contains(lr) {
                             continue;
                         }
                         let rid = sc.base + lr;
@@ -1567,6 +1572,12 @@ fn run_worker(group: &mut [ShardView<'_>], ctx: &RunCtx<'_>) {
         }
         i += 1;
     }
+    if let Some(ev) = &group[0].scratch.events {
+        debug_assert!(
+            ev.wheel.latest().is_none_or(|c| c <= ctx.last_cycle()),
+            "the wheel holds only this run's arrivals"
+        );
+    }
     for v in group.iter_mut() {
         v.close_run(ctx, ctx.start_cycle + total);
     }
@@ -1678,14 +1689,11 @@ impl ShardView<'_> {
     fn open_measurement(&mut self, ctx: &RunCtx<'_>, boundary_cycle: u64) {
         if ctx.deferred {
             self.scratch.boundary = Some(boundary_cycle);
-            for wi in 0..self.scratch.active_bits.len() {
-                let mut word = self.scratch.active_bits[wi];
-                while word != 0 {
-                    let lr = wi * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    self.reset_router_gating(ctx, lr);
-                    self.last_stepped[lr] = boundary_cycle;
-                }
+            let mut at = self.scratch.active.next_from(0);
+            while let Some(lr) = at {
+                self.reset_router_gating(ctx, lr);
+                self.last_stepped[lr] = boundary_cycle;
+                at = self.scratch.active.next_from(lr + 1);
             }
         } else {
             self.last_stepped.fill(boundary_cycle);
@@ -1722,11 +1730,7 @@ impl ShardView<'_> {
             // live buffers and step *every* router — expressed as a
             // full worklist so both kernels share one stepping path.
             self.rebuild_credits(ctx);
-            let len = self.len;
-            for (wi, w) in self.scratch.active_bits.iter_mut().enumerate() {
-                let bits = (len - (wi * 64).min(len)).min(64);
-                *w = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-            }
+            self.scratch.active.fill(self.len);
         }
         self.route_active(ctx, cycle, &mut stats);
         let transfers = self.scratch.transfers.len() as u64;
@@ -1840,7 +1844,7 @@ impl ShardView<'_> {
         let mut stats = self.scratch.stats.take();
         if ctx.kernel != SimKernel::Reference {
             for lr in 0..self.len {
-                if self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) == 0 {
+                if !self.scratch.active.contains(lr) {
                     let skipped = end_cycle - self.last_stepped[lr];
                     self.account_skipped(ctx, lr, skipped, &mut stats);
                     self.last_stepped[lr] = end_cycle;
@@ -1849,30 +1853,26 @@ impl ShardView<'_> {
         }
         if let Some(s) = stats.as_mut() {
             s.measured_cycles = ctx.measure;
-            let lanes = ctx.lanes;
-            for lr in 0..self.len {
-                for lane in 0..lanes {
-                    let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
-                    s.idle_histograms.lane_mut(lr, lane).record_open(run);
-                }
-                s.gating[lr] = self.counters[lr];
+            s.idle_histogram.reserve_open(self.idle_run.len());
+            for run in self.idle_run.iter_mut() {
+                s.idle_histogram.record_open(std::mem::take(run));
             }
+            s.gating.copy_from_slice(self.counters);
         }
         self.scratch.stats = stats;
     }
 
     /// Deferred close-out: the only place remaining debtors are walked,
-    /// and even that walk is O(1) per debtor. Every router that was
+    /// and even that walk is O(lanes) per debtor. Every router that was
     /// never touched after the measurement boundary slept through the
     /// *identical* `boundary → end` span, so what the eager path would
     /// compute per router — boundary reset, one `account_skipped` over
-    /// the span, one open-run record per lane — is computed **once**
-    /// into a template (FSM end state, gating counters, arbitration
-    /// count) and copied into each debtor's slabs. Debtor histograms
-    /// are not even materialized: one `record_open` per lane lands on
-    /// the [`IdleBank`] shared default row after every touched router
-    /// has claimed its own row (ordering matters — see
-    /// [`IdleBank::record_open_untouched`]).
+    /// the span — is computed **once** into a template (FSM end state,
+    /// gating counters, arbitration count) and copied into each
+    /// debtor's slabs. Open runs go straight into the tile's one idle
+    /// histogram in router order, lanes ascending: a debtor's lanes
+    /// each record the full `span`, a touched router's lanes their own
+    /// idle runs — the order the eager path records them in.
     fn close_run_deferred(&mut self, ctx: &RunCtx<'_>, end_cycle: u64, w: u64) {
         let mut stats = self.scratch.stats.take();
         let lanes = ctx.lanes;
@@ -1898,9 +1898,12 @@ impl ShardView<'_> {
                 }
             }
         }
+        if let Some(s) = stats.as_mut() {
+            s.idle_histogram.reserve_open(self.idle_run.len());
+        }
         let mut debtors = 0u64;
         for lr in 0..self.len {
-            let active = self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0;
+            let active = self.scratch.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
                 // Debtor: stale warmup slabs become the template.
                 let base = lr * lanes;
@@ -1914,6 +1917,9 @@ impl ShardView<'_> {
                     a.cycles += span;
                     a.arbitrations += tmpl_arbs;
                     s.gating[lr] = tmpl_counters;
+                    for _ in 0..lanes {
+                        s.idle_histogram.record_open(span);
+                    }
                 }
                 continue;
             }
@@ -1923,12 +1929,8 @@ impl ShardView<'_> {
                 self.last_stepped[lr] = end_cycle;
             }
             if let Some(s) = stats.as_mut() {
-                // Touched router: materialize its histogram row even if
-                // every lane run is zero, so the shared-default open
-                // run below cannot reach it.
-                for lane in 0..lanes {
-                    let run = std::mem::take(&mut self.idle_run[lr * lanes + lane]);
-                    s.idle_histograms.lane_mut(lr, lane).record_open(run);
+                for run in &mut self.idle_run[lr * lanes..(lr + 1) * lanes] {
+                    s.idle_histogram.record_open(std::mem::take(run));
                 }
                 s.gating[lr] = self.counters[lr];
             }
@@ -1939,9 +1941,6 @@ impl ShardView<'_> {
         }
         if let Some(s) = stats.as_mut() {
             s.measured_cycles = ctx.measure;
-            if span > 0 && debtors > 0 {
-                s.idle_histograms.record_open_untouched(span);
-            }
         }
         self.scratch.stats = stats;
     }
@@ -2327,7 +2326,9 @@ impl ShardView<'_> {
                         &mut self.rngs[l],
                         cycle,
                     );
-                    if self.next_offer[l] != u64::MAX {
+                    // Arrivals after the run's last cycle wait in
+                    // `next_offer` for the next run's re-arm.
+                    if self.next_offer[l] <= ctx.last_cycle() {
                         ev.wheel.schedule(self.next_offer[l], l32);
                     }
                 }
@@ -2340,13 +2341,10 @@ impl ShardView<'_> {
         // Drain waiting flits for every router on the worklist (the
         // only routers that can hold queued packets — see above).
         let mut drained = 0u64;
-        for w in 0..self.scratch.active_bits.len() {
-            let mut word = self.scratch.active_bits[w];
-            while word != 0 {
-                let l = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                drained += self.drain_source(l, self.base + l, len, stats);
-            }
+        let mut at = self.scratch.active.next_from(0);
+        while let Some(l) = at {
+            drained += self.drain_source(l, self.base + l, len, stats);
+            at = self.scratch.active.next_from(l + 1);
         }
         drained
     }
@@ -2434,7 +2432,7 @@ impl ShardView<'_> {
     /// horizon.
     fn rearm_events(&mut self, ctx: &RunCtx<'_>, ev: &mut EventState) {
         let run_start = ev.armed_epoch == usize::MAX;
-        let mut horizon = ctx.start_cycle + ctx.warmup + ctx.measure;
+        let mut horizon = ctx.last_cycle();
         if ctx.cfg.cycle_budget != 0 {
             horizon = horizon.min(ctx.start_cycle.saturating_add(ctx.cfg.cycle_budget));
         }
@@ -2450,11 +2448,15 @@ impl ShardView<'_> {
                 if run_start {
                     for l in 0..self.len {
                         let offer = self.next_offer[l];
-                        if offer != u64::MAX {
-                            debug_assert!(
-                                offer > ctx.start_cycle,
-                                "renewal slots never lapse in the event kernel"
-                            );
+                        debug_assert!(
+                            offer > ctx.start_cycle,
+                            "renewal slots never lapse in the event kernel"
+                        );
+                        // Only this run's arrivals: a later slot can
+                        // never shorten a leap (leaps stop at the
+                        // horizon anyway), and the next run re-arms it
+                        // from `next_offer`.
+                        if offer <= ctx.last_cycle() {
                             ev.wheel.schedule(offer, l as u32);
                         }
                     }
@@ -2584,7 +2586,7 @@ impl ShardView<'_> {
             ..
         } = self;
         let ShardScratch {
-            active_bits,
+            active,
             transfers,
             idle_ended,
             routers_stepped,
@@ -2596,105 +2598,100 @@ impl ShardView<'_> {
         };
         transfers.clear();
 
-        let words = active_bits.len();
-        for wi in 0..words {
-            let w = if visit_reversed { words - 1 - wi } else { wi };
-            let mut bits = active_bits[w];
-            while bits != 0 {
-                let b = if visit_reversed {
-                    63 - bits.leading_zeros() as usize
-                } else {
-                    bits.trailing_zeros() as usize
-                };
-                bits &= !(1u64 << b);
-                let lr = w * 64 + b;
-                let rid = base_rid + lr;
+        // Retiring the router just stepped never disturbs the walk: the
+        // next lookup starts past it.
+        let mut cursor = if visit_reversed {
+            active.prev_through(usize::MAX)
+        } else {
+            active.next_from(0)
+        };
+        while let Some(lr) = cursor {
+            cursor = if visit_reversed {
+                lr.checked_sub(1).and_then(|p| active.prev_through(p))
+            } else {
+                active.next_from(lr + 1)
+            };
+            let rid = base_rid + lr;
 
-                let route = |flit: &Flit| {
-                    // Faulted epochs route on the fault map's BFS
-                    // tables, which never target a dead channel — so
-                    // the readiness check below stays untouched and
-                    // credit conservation needs no fault cases. Every
-                    // buffered flit has a route: unroutable packets
-                    // are reaped at the epoch boundary, and BFS next
-                    // hops strictly descend the distance-to-dst, so a
-                    // route exists at every hop within a component.
-                    let out = match fmap {
-                        Some(fm) => fm
-                            .route(rid, flit.dst)
-                            .expect("unroutable packets are reaped at fault boundaries"),
-                        None => match routes {
-                            Some(t) => t.route(rid, flit.dst),
-                            None => mesh.route_xy_at(at(rid), at(flit.dst)),
-                        },
-                    };
-                    RouteTarget {
-                        out,
-                        vc: mesh.hop_vc_at(at(rid), at(flit.src), flit.packet_id, out, v),
-                    }
+            let route = |flit: &Flit| {
+                // Faulted epochs route on the fault map's BFS
+                // tables, which never target a dead channel — so
+                // the readiness check below stays untouched and
+                // credit conservation needs no fault cases. Every
+                // buffered flit has a route: unroutable packets
+                // are reaped at the epoch boundary, and BFS next
+                // hops strictly descend the distance-to-dst, so a
+                // route exists at every hop within a component.
+                let out = match fmap {
+                    Some(fm) => fm
+                        .route(rid, flit.dst)
+                        .expect("unroutable packets are reaped at fault boundaries"),
+                    None => match routes {
+                        Some(t) => t.route(rid, flit.dst),
+                        None => mesh.route_xy_at(at(rid), at(flit.dst)),
+                    },
                 };
-                // Lazy credit reads: only evaluated for lanes a flit
-                // actually wants (ejection always sinks; edge lanes
-                // hold zero credits, so no-link and no-room collapse
-                // into one check).
-                let lane_base = lr * lanes;
-                let ready = |d: Direction, vc: usize| match d {
-                    Direction::Local => true,
-                    d => credits[lane_base + d.index() * v + vc] > 0,
-                };
-                let lane = PortLane {
-                    idle_run: &mut idle_run[lane_base..lane_base + lanes],
-                    fsm: &mut fsm[lane_base..lane_base + lanes],
-                    counters: &mut counters[lr],
-                    idle_ended,
-                };
-                let mut departed = 0u64;
-                let mut link_departed = 0u64;
-                let mut router = routers.router(lr);
-                let outcome = router.step_fast(route, ready, lane, |dep| {
-                    departed += 1;
-                    if dep.output != Direction::Local {
-                        link_departed += 1;
-                    }
-                    transfers.push(Transfer {
-                        from: rid as u32,
-                        input: dep.input,
-                        input_vc: dep.input_vc,
-                        output: dep.output,
-                        flit: dep.flit,
-                    });
+                RouteTarget {
+                    out,
+                    vc: mesh.hop_vc_at(at(rid), at(flit.src), flit.packet_id, out, v),
+                }
+            };
+            // Lazy credit reads: only evaluated for lanes a flit
+            // actually wants (ejection always sinks; edge lanes
+            // hold zero credits, so no-link and no-room collapse
+            // into one check).
+            let lane_base = lr * lanes;
+            let ready = |d: Direction, vc: usize| match d {
+                Direction::Local => true,
+                d => credits[lane_base + d.index() * v + vc] > 0,
+            };
+            let lane = PortLane {
+                idle_run: &mut idle_run[lane_base..lane_base + lanes],
+                fsm: &mut fsm[lane_base..lane_base + lanes],
+                counters: &mut counters[lr],
+                idle_ended,
+            };
+            let mut departed = 0u64;
+            let mut link_departed = 0u64;
+            let mut router = routers.router(lr);
+            let outcome = router.step_fast(route, ready, lane, |dep| {
+                departed += 1;
+                if dep.output != Direction::Local {
+                    link_departed += 1;
+                }
+                transfers.push(Transfer {
+                    from: rid as u32,
+                    input: dep.input,
+                    input_vc: dep.input_vc,
+                    output: dep.output,
+                    flit: dep.flit,
                 });
-                *routers_stepped += 1;
+            });
+            *routers_stepped += 1;
 
-                if let Some(s) = stats.as_mut() {
-                    let a = &mut s.router_activity[lr];
-                    a.cycles += 1;
-                    a.arbitrations += outcome.arbitrations;
-                    a.crossbar_traversals += departed;
-                    a.buffer_reads += departed;
-                    a.link_traversals += link_departed;
-                    for (l, &run) in idle_ended[..lanes].iter().enumerate() {
-                        // Guarded: most stepped lanes end no idle run,
-                        // and even `record(0)`'s early return costs a
-                        // call per lane per cycle on the hot path.
-                        if run > 0 {
-                            s.idle_histograms.lane_mut(lr, l).record(run);
-                        }
-                    }
+            if let Some(s) = stats.as_mut() {
+                let a = &mut s.router_activity[lr];
+                a.cycles += 1;
+                a.arbitrations += outcome.arbitrations;
+                a.crossbar_traversals += departed;
+                a.buffer_reads += departed;
+                a.link_traversals += link_departed;
+                for &run in &idle_ended[..lanes] {
+                    s.idle_histogram.record(run);
                 }
+            }
 
-                // Retire the router if it just went quiescent (nothing
-                // this cycle's remaining steps can change that — only
-                // later arrivals can, and they re-activate it). An
-                // empty router's sleep FSMs are always bulk-replayable
-                // — even mid-threshold-walk — so buffers, owners and
-                // the source queue are the whole predicate. (The
-                // reference kernel refills its worklist every cycle,
-                // so retiring is moot there.)
-                if retire && router.is_quiet() && source_queues[lr].is_empty() {
-                    active_bits[w] &= !(1u64 << b);
-                    last_stepped[lr] = cycle;
-                }
+            // Retire the router if it just went quiescent (nothing
+            // this cycle's remaining steps can change that — only
+            // later arrivals can, and they re-activate it). An
+            // empty router's sleep FSMs are always bulk-replayable
+            // — even mid-threshold-walk — so buffers, owners and
+            // the source queue are the whole predicate. (The
+            // reference kernel refills its worklist every cycle,
+            // so retiring is moot there.)
+            if retire && router.is_quiet() && source_queues[lr].is_empty() {
+                active.remove(lr);
+                last_stepped[lr] = cycle;
             }
         }
     }
@@ -2845,7 +2842,7 @@ impl ShardView<'_> {
         through: u64,
         stats: &mut Option<NetworkStats>,
     ) {
-        if self.scratch.active_bits[lr / 64] & (1u64 << (lr % 64)) != 0 {
+        if self.scratch.active.contains(lr) {
             return;
         }
         // First touch since the measurement boundary: pay the deferred
@@ -2858,7 +2855,7 @@ impl ShardView<'_> {
         let skipped = through - self.last_stepped[lr];
         self.account_skipped(ctx, lr, skipped, stats);
         self.last_stepped[lr] = through;
-        self.scratch.active_bits[lr / 64] |= 1u64 << (lr % 64);
+        self.scratch.active.insert(lr);
     }
 
     /// Bulk-settles `skipped` consecutive idle cycles for a quiescent
@@ -3909,6 +3906,47 @@ mod tests {
             event.routers_stepped_total() < active.routers_stepped_total() + 1,
             "leaping must never step more routers than the worklist kernel"
         );
+    }
+
+    #[test]
+    fn event_kernel_consecutive_runs_defer_later_arrivals() {
+        // Three runs in a row at a rate where most renewal slots fall
+        // after each run's end: those arrivals stay off the wheel, and
+        // each later run must still fire them on their exact cycles —
+        // re-armed from `next_offer` — to match the worklist kernel.
+        let sparse = |kernel| MeshConfig {
+            width: 16,
+            height: 16,
+            injection_rate: 2e-4,
+            gating: Some(SleepConfig {
+                policy: GatingPolicy::IdleThreshold(4),
+                wake_latency: 1,
+            }),
+            kernel,
+            ..base_cfg()
+        };
+        let mut active = Simulation::new(sparse(SimKernel::ActiveSet));
+        let mut event = Simulation::new(sparse(SimKernel::EventDriven));
+        for (warmup, measure) in [(100, 600), (0, 400), (0, 400)] {
+            let end = event.cycle + warmup + measure;
+            let later = event.next_offer.iter().filter(|&&c| c > end).count();
+            assert!(
+                later > event.mesh.len() * 3 / 4,
+                "only {later} renewal slots lie past cycle {end}"
+            );
+            let a = active.try_run(warmup, measure).expect("runs to completion");
+            let e = event.try_run(warmup, measure).expect("runs to completion");
+            assert_eq!(a, e, "run ending at cycle {end} diverged");
+            let ev = event.scratch[0].events.as_ref().expect("event state");
+            assert!(
+                ev.wheel.latest().is_none_or(|c| c <= event.cycle),
+                "the wheel holds an arrival past the run's last cycle {}",
+                event.cycle
+            );
+        }
+        assert!(event.events_processed_total() > 0);
+        assert!(event.cycles_leapt_total() > 0);
+        assert_eq!(active.flits_injected_total(), event.flits_injected_total());
     }
 
     #[test]

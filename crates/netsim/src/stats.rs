@@ -52,16 +52,15 @@ pub struct NetworkStats {
     pub min_reachable_fraction: f64,
     /// Per-router activity counters.
     pub router_activity: Vec<RouterActivity>,
-    /// Virtual channels per port the run was simulated with (the
-    /// histograms below have `5 * vcs` entries per router).
+    /// Virtual channels per port the run was simulated with.
     pub vcs: usize,
-    /// Idle-interval histogram per router per output VC lane
-    /// (`5 * vcs` per router, indexed `port * vcs + vc` with ports in
-    /// [`crate::topology::Direction`] order), stored sparsely: rows
-    /// materialize on first write and untouched routers share one
-    /// default row ([`IdleBank`]).
-    #[serde(skip)]
-    pub idle_histograms: IdleBank,
+    /// Idle intervals of every output VC lane of the record's routers,
+    /// in one histogram. Closed intervals are binned as they end; the
+    /// close-out appends each lane's trailing open interval in router
+    /// order, lanes ascending within a router (`port * vcs + vc`, ports
+    /// in [`crate::topology::Direction`] order), so the open runs'
+    /// order is the same for every kernel and shard geometry.
+    pub idle_histogram: IdleHistogram,
     /// Per-router in-loop gating counters (all output VC lanes
     /// summed); all-zero when the run was ungated.
     pub gating: Vec<GatingCounters>,
@@ -95,7 +94,7 @@ impl NetworkStats {
             min_reachable_fraction: 1.0,
             router_activity: vec![RouterActivity::default(); routers],
             vcs,
-            idle_histograms: IdleBank::new(routers, 5 * vcs, histogram_cap),
+            idle_histogram: IdleHistogram::new(histogram_cap),
             gating: vec![GatingCounters::default(); routers],
         }
     }
@@ -129,15 +128,15 @@ impl NetworkStats {
     /// * `latency_max` / `measured_cycles` — maximum;
     /// * per-router activity, gating counters — element-wise addition
     ///   at the offset;
-    /// * idle histograms — bin-wise [`IdleHistogram::merge`] (open runs
+    /// * idle histogram — bin-wise [`IdleHistogram::merge`] (open runs
     ///   appended in the other record's order).
     ///
     /// **Deterministic merge order.** The sharded runner merges shard
-    /// records in ascending shard id. Every field is an integer sum or
-    /// maximum — and each router's histograms and counters are touched
-    /// by exactly one shard — so the result is in fact independent of
-    /// merge order; the fixed order pins the byte layout (notably
-    /// open-run vectors) without relying on that argument.
+    /// records in ascending shard id. Every other field is an integer
+    /// sum or maximum, so only the open-run vector depends on the
+    /// order: tiles are ascending router ranges, so merging them in
+    /// shard order keeps the open runs in router order, exactly as a
+    /// single full-network record lists them.
     ///
     /// # Panics
     ///
@@ -170,8 +169,7 @@ impl NetworkStats {
         {
             mine.add(theirs);
         }
-        self.idle_histograms
-            .merge_from(&other.idle_histograms, base_router);
+        self.idle_histogram.merge(&other.idle_histogram);
         for (mine, theirs) in self.gating[base_router..].iter_mut().zip(&other.gating) {
             mine.add(theirs);
         }
@@ -204,21 +202,18 @@ impl NetworkStats {
             / (self.measured_cycles as f64 * self.router_activity.len() as f64)
     }
 
-    /// Merges all routers' per-port histograms into one network-wide
-    /// distribution.
+    /// The network-wide idle-interval distribution, binned at `cap`.
     ///
-    /// When `cap` matches the per-port histogram cap this is a direct
-    /// bin-wise merge; otherwise bins are re-recorded in O(bins) via
-    /// [`IdleHistogram::merge_rebinned`] (never O(idle cycles)), which
-    /// preserves interval counts and total idle cycles exactly either
-    /// way.
+    /// At the record's own cap (every simulation records at
+    /// [`NetworkStats::DEFAULT_IDLE_BINS`]) this is a copy of
+    /// [`NetworkStats::idle_histogram`]. At any other cap the bins are
+    /// re-recorded in O(bins) via [`IdleHistogram::merge_rebinned`],
+    /// which keeps interval counts and total idle cycles exact; the
+    /// overflow intervals are re-binned at their *network-wide* average
+    /// length, since per-lane overflow totals are not kept.
     pub fn merged_idle_histogram(&self, cap: usize) -> IdleHistogram {
         let mut merged = IdleHistogram::new(cap);
-        for r in 0..self.idle_histograms.routers() {
-            for l in 0..self.idle_histograms.lanes() {
-                merged.merge_rebinned(self.idle_histograms.lane(r, l));
-            }
-        }
+        merged.merge_rebinned(&self.idle_histogram);
         merged
     }
 
@@ -252,172 +247,6 @@ impl NetworkStats {
     }
 }
 
-/// Sparse `routers × lanes` bank of [`IdleHistogram`]s.
-///
-/// At the injection rates the leakage study sweeps, almost every
-/// router's histograms stay empty for the whole run except for the one
-/// trailing open interval the close-out records — yet the old
-/// `Vec<Vec<IdleHistogram>>` paid a nested allocation per router up
-/// front, which at a million routers dominated run setup. The bank
-/// keeps one `default_row` shared by every router that was never
-/// written and materializes a router's private row on its first
-/// `lane_mut`, so construction is O(routers) words and the run's
-/// histogram memory is proportional to routers actually touched.
-///
-/// [`IdleBank::record_open_untouched`] is the close-out's bulk path:
-/// it appends one open interval to the shared default row, which every
-/// still-unmaterialized router then reports — O(lanes) for the whole
-/// untouched population. Equality, merging and iteration are all
-/// content-based: an unmaterialized router behaves exactly as if its
-/// row held the default row's contents.
-#[derive(Debug, Clone, Default)]
-pub struct IdleBank {
-    lanes: usize,
-    cap: usize,
-    /// Per-router index into `rows` (in units of rows); `u32::MAX`
-    /// marks an unmaterialized router whose content is `default_row`.
-    idx: Vec<u32>,
-    /// Materialized rows, `lanes` histograms each, in first-write
-    /// order.
-    rows: Vec<IdleHistogram>,
-    /// Shared content of every unmaterialized router. Pristine until
-    /// [`IdleBank::record_open_untouched`].
-    default_row: Vec<IdleHistogram>,
-}
-
-impl IdleBank {
-    /// Creates a bank for `routers` routers with `lanes` histograms
-    /// each, every histogram capped at `cap` exact bins.
-    pub fn new(routers: usize, lanes: usize, cap: usize) -> Self {
-        assert!(u32::try_from(routers).is_ok(), "router count fits u32");
-        IdleBank {
-            lanes,
-            cap,
-            idx: vec![u32::MAX; routers],
-            rows: Vec::new(),
-            default_row: (0..lanes).map(|_| IdleHistogram::new(cap)).collect(),
-        }
-    }
-
-    /// Number of routers in the bank.
-    pub fn routers(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Histograms per router (`5 × vcs` in a simulation record).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// A router's materialized row, if it has one.
-    fn row(&self, router: usize) -> Option<&[IdleHistogram]> {
-        let i = self.idx[router];
-        (i != u32::MAX).then(|| {
-            let base = i as usize * self.lanes;
-            &self.rows[base..base + self.lanes]
-        })
-    }
-
-    /// Read access to one lane's histogram — the router's own row when
-    /// materialized, the shared default row otherwise.
-    pub fn lane(&self, router: usize, lane: usize) -> &IdleHistogram {
-        assert!(lane < self.lanes, "lane out of range");
-        match self.row(router) {
-            Some(row) => &row[lane],
-            None => &self.default_row[lane],
-        }
-    }
-
-    /// Write access to one lane's histogram, materializing the
-    /// router's row (as a copy of the current default row, so the
-    /// router's observable content is unchanged by materialization).
-    pub fn lane_mut(&mut self, router: usize, lane: usize) -> &mut IdleHistogram {
-        assert!(lane < self.lanes, "lane out of range");
-        let base = match self.idx[router] {
-            u32::MAX => {
-                let next = self.rows.len() / self.lanes;
-                self.idx[router] = u32::try_from(next).expect("row index fits u32");
-                self.rows.extend(self.default_row.iter().cloned());
-                next * self.lanes
-            }
-            i => i as usize * self.lanes,
-        };
-        &mut self.rows[base + lane]
-    }
-
-    /// Records one still-open idle interval of `len` cycles into
-    /// **every lane of every router not materialized yet** (0-length
-    /// ignored) — the O(lanes) close-out for the untouched population.
-    /// Callers must materialize every touched router first: a
-    /// `lane_mut` after this call clones the default row *including*
-    /// this interval.
-    pub fn record_open_untouched(&mut self, len: u64) {
-        for h in &mut self.default_row {
-            h.record_open(len);
-        }
-    }
-
-    /// Whether the shared default row carries any recorded content
-    /// (i.e. [`IdleBank::record_open_untouched`] recorded something).
-    fn default_dirty(&self) -> bool {
-        self.default_row.iter().any(|h| h.interval_count() > 0)
-    }
-
-    /// Merges another bank — covering routers `base ..` of this one —
-    /// lane-wise into this bank, exactly like the old per-histogram
-    /// [`IdleHistogram::merge`] loop. Routers that are unmaterialized
-    /// in `other` merge their default-row content (skipped entirely
-    /// when that row is pristine, so merging an untouched tile stays
-    /// O(1) per router).
-    ///
-    /// # Panics
-    ///
-    /// Panics when lane counts or caps differ, or `other` overhangs.
-    pub fn merge_from(&mut self, other: &IdleBank, base: usize) {
-        assert_eq!(
-            self.lanes, other.lanes,
-            "merging banks of different lane counts"
-        );
-        assert_eq!(self.cap, other.cap, "merging banks of different caps");
-        assert!(
-            base + other.routers() <= self.routers(),
-            "merged tile exceeds the network"
-        );
-        let dirty = other.default_dirty();
-        for r in 0..other.routers() {
-            match other.row(r) {
-                Some(row) => {
-                    for (l, h) in row.iter().enumerate() {
-                        self.lane_mut(base + r, l).merge(h);
-                    }
-                }
-                None if dirty => {
-                    for (l, h) in other.default_row.iter().enumerate() {
-                        self.lane_mut(base + r, l).merge(h);
-                    }
-                }
-                None => {}
-            }
-        }
-    }
-}
-
-impl PartialEq for IdleBank {
-    fn eq(&self, other: &Self) -> bool {
-        if self.routers() != other.routers() || self.lanes != other.lanes || self.cap != other.cap {
-            return false;
-        }
-        // Content equality, router by router: materialization state is
-        // an implementation detail, so a materialized row equals an
-        // unmaterialized router with the same effective content.
-        let defaults_eq = self.default_row == other.default_row;
-        (0..self.routers()).all(|r| match (self.row(r), other.row(r)) {
-            (None, None) => defaults_eq,
-            (a, b) => a.unwrap_or(&self.default_row) == b.unwrap_or(&other.default_row),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,37 +261,49 @@ mod tests {
     }
 
     #[test]
-    fn merged_histogram_accumulates() {
-        let mut s = NetworkStats::new(2, 1, 64);
-        s.idle_histograms.lane_mut(0, 0).record(5);
-        s.idle_histograms.lane_mut(1, 3).record(5);
-        s.idle_histograms.lane_mut(1, 3).record(7);
-        let merged = s.merged_idle_histogram(64);
-        assert_eq!(merged.interval_count(), 3);
-        assert_eq!(merged.total_idle_cycles(), 17);
+    fn merged_histogram_at_the_default_cap_is_the_record() {
+        let mut s = NetworkStats::new(2, 1, NetworkStats::DEFAULT_IDLE_BINS);
+        s.idle_histogram.record(5);
+        s.idle_histogram.record(5);
+        s.idle_histogram.record(7);
+        s.idle_histogram.record(5000); // overflow
+        s.idle_histogram.record_open(40);
+        s.idle_histogram.record_open(3);
+        let merged = s.merged_idle_histogram(NetworkStats::DEFAULT_IDLE_BINS);
+        assert_eq!(merged, s.idle_histogram);
+        assert_eq!(merged.interval_count(), 6);
+        assert_eq!(merged.total_idle_cycles(), 5060);
+        assert_eq!(merged.open_runs(), &[40, 3]);
     }
 
     #[test]
-    fn merged_histogram_same_for_either_cap_path() {
-        // The fast bin-wise merge (matching caps) and the re-binning
-        // path (differing caps) must agree on every total — including
-        // overflow bins whose average length is not an integer (100 and
-        // 101 average to 100.5; naive truncation would drop a cycle).
+    fn merged_histogram_at_another_cap_keeps_totals() {
+        // Re-binning at a different cap keeps interval counts and
+        // idle cycles exact — including overflow intervals whose
+        // average is not an integer (3201 cycles over 5 intervals).
+        // The overflow is re-binned at its network-wide average.
         let mut s = NetworkStats::new(2, 2, 64);
-        s.idle_histograms.lane_mut(0, 0).record_n(5, 400);
-        s.idle_histograms.lane_mut(0, 7).record_n(9, 2); // a VC-1 lane of port 3
-        s.idle_histograms.lane_mut(0, 2).record_n(63, 10);
-        s.idle_histograms.lane_mut(1, 1).record_n(1000, 3); // overflow bin
-        s.idle_histograms.lane_mut(1, 3).record(100); // overflow, inexact average
-        s.idle_histograms.lane_mut(1, 3).record(101);
-        s.idle_histograms.lane_mut(1, 4).record_open(77);
-        let fast = s.merged_idle_histogram(64);
-        let slow = s.merged_idle_histogram(128);
-        assert_eq!(fast.interval_count(), slow.interval_count());
-        assert_eq!(fast.interval_count(), 418);
-        assert_eq!(fast.total_idle_cycles(), slow.total_idle_cycles());
-        assert_eq!(fast.total_idle_cycles(), 2000 + 18 + 630 + 3000 + 201 + 77);
-        assert_eq!(fast.open_runs(), &[77]);
+        let h = &mut s.idle_histogram;
+        h.record_n(5, 400);
+        h.record_n(9, 2);
+        h.record_n(63, 10);
+        h.record_n(1000, 3); // overflow bin
+        h.record(100); // overflow, inexact average
+        h.record(101);
+        h.record_open(77);
+        let same = s.merged_idle_histogram(64);
+        assert_eq!(same, s.idle_histogram);
+        for cap in [128, 2048] {
+            let other = s.merged_idle_histogram(cap);
+            assert_eq!(other.max_len(), cap);
+            assert_eq!(other.interval_count(), 418);
+            assert_eq!(other.total_idle_cycles(), same.total_idle_cycles());
+            assert_eq!(other.total_idle_cycles(), 2000 + 18 + 630 + 3000 + 201 + 77);
+            assert_eq!(other.open_runs(), &[77]);
+        }
+        // 3201 / 5 = 640.2: four intervals at 640, one at 641.
+        let wide: Vec<_> = s.merged_idle_histogram(2048).iter_lengths().collect();
+        assert_eq!(wide, vec![(5, 400), (9, 2), (63, 10), (640, 4), (641, 1)]);
     }
 
     #[test]
@@ -479,7 +320,8 @@ mod tests {
         tile0.latency_max = 25;
         tile0.measured_cycles = 100;
         tile0.router_activity[1].cycles = 100;
-        tile0.idle_histograms.lane_mut(0, 2).record(5);
+        tile0.idle_histogram.record(5);
+        tile0.idle_histogram.record_open(3);
         tile0.gating[1].sleep_entries = 7;
         let mut tile1 = NetworkStats::new(2, 1, 64);
         tile1.packets_injected = 1;
@@ -489,7 +331,7 @@ mod tests {
         tile1.latency_max = 10;
         tile1.measured_cycles = 100;
         tile1.router_activity[0].cycles = 50;
-        tile1.idle_histograms.lane_mut(1, 0).record_open(9);
+        tile1.idle_histogram.record_open(9);
 
         let mut reduced = NetworkStats::new(4, 1, 64);
         reduced.merge_shard(&tile0, 0);
@@ -504,8 +346,9 @@ mod tests {
         whole.measured_cycles = 100;
         whole.router_activity[1].cycles = 100;
         whole.router_activity[2].cycles = 50;
-        whole.idle_histograms.lane_mut(0, 2).record(5);
-        whole.idle_histograms.lane_mut(3, 0).record_open(9);
+        whole.idle_histogram.record(5);
+        whole.idle_histogram.record_open(3);
+        whole.idle_histogram.record_open(9);
         whole.gating[1].sleep_entries = 7;
         assert_eq!(reduced, whole);
 
@@ -513,6 +356,43 @@ mod tests {
         let mut via_merge = NetworkStats::new(4, 1, 64);
         via_merge.merge(&whole);
         assert_eq!(via_merge, whole);
+    }
+
+    #[test]
+    fn shard_merge_keeps_open_runs_in_router_order() {
+        // Each tile lists its open runs router by router, lanes
+        // ascending; merging the tiles in ascending shard order lists
+        // them router by router network-wide. Any other order would
+        // change the record, which is why the runner fixes it.
+        let tile = |runs: &[u64]| {
+            let mut t = NetworkStats::new(1, 1, 64);
+            for &r in runs {
+                t.idle_histogram.record_open(r);
+            }
+            t
+        };
+        let tiles = [
+            tile(&[11, 12, 0, 14, 15]),
+            tile(&[21, 22, 23, 24, 25]),
+            tile(&[31]),
+        ];
+        let mut ascending = NetworkStats::new(3, 1, 64);
+        for (base, t) in tiles.iter().enumerate() {
+            ascending.merge_shard(t, base);
+        }
+        assert_eq!(
+            ascending.idle_histogram.open_runs(),
+            &[11, 12, 14, 15, 21, 22, 23, 24, 25, 31]
+        );
+        let mut descending = NetworkStats::new(3, 1, 64);
+        for (base, t) in tiles.iter().enumerate().rev() {
+            descending.merge_shard(t, base);
+        }
+        assert_eq!(
+            descending.idle_histogram.interval_count(),
+            ascending.idle_histogram.interval_count()
+        );
+        assert_ne!(descending, ascending);
     }
 
     #[test]
@@ -529,51 +409,5 @@ mod tests {
         s.packets_delivered = 4;
         s.latency_sum = 40;
         assert!((s.avg_latency() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bank_equality_is_content_based() {
-        // A router materialized with default content equals an
-        // unmaterialized one; actual content differences still show.
-        let mut a = IdleBank::new(3, 2, 16);
-        let b = IdleBank::new(3, 2, 16);
-        let _ = a.lane_mut(1, 0); // materialize, write nothing
-        assert_eq!(a, b);
-        a.lane_mut(1, 0).record(4);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn bank_untouched_open_run_reaches_only_unmaterialized_rows() {
-        let mut bank = IdleBank::new(3, 2, 16);
-        bank.lane_mut(0, 1).record(7); // router 0 touched
-        bank.record_open_untouched(40);
-        assert_eq!(bank.lane(0, 0).open_runs(), &[] as &[u64]);
-        assert_eq!(bank.lane(0, 1).open_runs(), &[] as &[u64]);
-        for r in 1..3 {
-            for l in 0..2 {
-                assert_eq!(bank.lane(r, l).open_runs(), &[40]);
-            }
-        }
-        // Materializing after the bulk record preserves content.
-        let _ = bank.lane_mut(2, 0);
-        assert_eq!(bank.lane(2, 0).open_runs(), &[40]);
-        assert_eq!(bank.lane(2, 1).open_runs(), &[40]);
-    }
-
-    #[test]
-    fn bank_merge_carries_default_content() {
-        // A tile whose routers are all untouched except one, with a
-        // bulk open run applied: merging it at an offset must land the
-        // private row and the shared default content alike.
-        let mut tile = IdleBank::new(2, 1, 16);
-        tile.lane_mut(0, 0).record(3);
-        tile.record_open_untouched(9);
-        let mut net = IdleBank::new(4, 1, 16);
-        net.merge_from(&tile, 2);
-        assert_eq!(net.lane(2, 0).interval_count(), 1);
-        assert_eq!(net.lane(2, 0).total_idle_cycles(), 3);
-        assert_eq!(net.lane(3, 0).open_runs(), &[9]);
-        assert_eq!(net.lane(0, 0).interval_count(), 0);
     }
 }

@@ -7,7 +7,10 @@
 //! finding the next scheduled cycle so the kernel knows how far it may
 //! leap. Events beyond the ring's window park in an overflow list and
 //! are folded back in when the window advances — the classic calendar
-//! queue, sized so overflow is the rare case at simulation rates.
+//! queue. The event kernel schedules only arrivals that fall inside
+//! the current run, so overflow holds just the run's own arrivals past
+//! the first 4096 cycles: runs shorter than the window never touch it,
+//! and a rebase re-slots at most one run's events.
 //!
 //! Everything here is deterministic: slot order is canonicalized by
 //! sorting drained ids, there is no hashing and no wall clock, so the
@@ -152,6 +155,17 @@ impl TimeWheel {
         Some(self.overflow_min)
     }
 
+    /// The latest scheduled cycle, if any. O(SLOTS + overflow): for
+    /// assertions, not the hot path.
+    pub(crate) fn latest(&self) -> Option<u64> {
+        let slotted = (0..SLOTS)
+            .rev()
+            .find(|&i| self.occ[i / 64] & (1u64 << (i % 64)) != 0)
+            .map(|i| self.base + i as u64);
+        let parked = self.overflow.iter().map(|&(cy, _)| cy).max();
+        slotted.max(parked)
+    }
+
     /// First occupied slot index `≥ i0`, via the occupancy bitmap.
     fn scan_occupied(&self, i0: usize) -> Option<usize> {
         let mut w = i0 / 64;
@@ -169,9 +183,8 @@ impl TimeWheel {
     }
 
     /// Moves the window so slot 0 is `new_base`, re-slotting every live
-    /// event. O(live events + SLOTS); called only when the schedule
-    /// outruns the window, which the event kernel's horizon caps make
-    /// rare.
+    /// event. O(live events + SLOTS); called only when the clock
+    /// outruns the window, at most once per 4096 cycles of a run.
     fn rebase(&mut self, new_base: u64) {
         debug_assert!(new_base >= self.base, "the window only moves forward");
         let mut live: Vec<(u64, u32)> = std::mem::take(&mut self.overflow);
@@ -277,6 +290,17 @@ mod tests {
         assert_eq!(out, vec![8]);
         assert_eq!(w.len(), 0);
         assert_eq!(w.next_event(0), None);
+    }
+
+    #[test]
+    fn latest_spans_slots_and_overflow() {
+        let mut w = TimeWheel::new(10);
+        assert_eq!(w.latest(), None);
+        w.schedule(12, 1);
+        w.schedule(500, 2);
+        assert_eq!(w.latest(), Some(500));
+        w.schedule(10 + 5 * SLOTS as u64, 3);
+        assert_eq!(w.latest(), Some(10 + 5 * SLOTS as u64));
     }
 
     #[test]

@@ -86,10 +86,8 @@ impl fmt::Display for GatingPolicy {
 ///
 /// The exact bins **grow on demand**: a histogram holds bins only up to
 /// the longest exact length it has recorded, never `cap` of them up
-/// front. A network simulation keeps one histogram per output VC lane
-/// and most lanes record a handful of short intervals (or only a
-/// trailing open run), so memory and merge cost follow what was
-/// recorded rather than the cap. Equality compares *contents*: the
+/// front, so memory and merge cost follow what was recorded rather
+/// than the cap. Equality compares *contents*: the
 /// bins end at the longest recorded length whatever order the
 /// intervals arrived in, so equal contents have equal bins.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,12 +124,14 @@ impl IdleHistogram {
     }
 
     /// Records one idle interval of `len` cycles (0-length ignored).
+    #[inline]
     pub fn record(&mut self, len: u64) {
         self.record_n(len, 1);
     }
 
     /// Records `count` idle intervals of `len` cycles each in O(1)
     /// amortized (0-length or 0-count ignored).
+    #[inline]
     pub fn record_n(&mut self, len: u64, count: u64) {
         if len == 0 || count == 0 {
             return;
@@ -152,11 +152,19 @@ impl IdleHistogram {
     /// measurement window closed (0-length ignored). Open intervals
     /// count toward totals but never pay a wake penalty in
     /// [`evaluate_policy`].
+    #[inline]
     pub fn record_open(&mut self, len: u64) {
         if len == 0 {
             return;
         }
         self.open_runs.push(len);
+    }
+
+    /// Reserves room for exactly `additional` more open intervals, so
+    /// a close-out that knows its bound records them without the
+    /// amortized growth's spare capacity.
+    pub fn reserve_open(&mut self, additional: usize) {
+        self.open_runs.reserve_exact(additional);
     }
 
     /// Number of recorded intervals (closed + open).

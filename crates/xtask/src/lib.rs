@@ -1,18 +1,20 @@
-//! Workspace automation for the leakage-NoC repo. The one task so far
-//! is the determinism/soundness lint:
+//! Workspace automation for the leakage-NoC repo: the
+//! determinism/soundness lint, and a line count.
 //!
 //! ```text
 //! cargo run -p xtask -- lint
+//! cargo run -p xtask -- loc
 //! ```
 //!
 //! The rules and the waiver syntax are documented in [`rules`]; which
 //! rule applies where is decided by [`rule_scope`] below. Vendored
 //! crates, build output, and the lint's own test fixtures are never
-//! walked.
+//! walked. What [`loc`] counts is documented there.
 
 #![deny(unsafe_code)]
 
 pub mod lexer;
+pub mod loc;
 pub mod rules;
 
 use std::path::{Path, PathBuf};

@@ -7,6 +7,9 @@
 //! The lint already rejects waivers without a reason; the audit makes
 //! the surviving inventory visible in CI logs so reviewers see each
 //! escape hatch a change introduces, not just that it was justified.
+//!
+//! `cargo run -p xtask -- loc [root]` — print the non-test, non-vendor
+//! Rust lines of every package (see [`xtask::loc`]) and their total.
 
 #![deny(unsafe_code)]
 
@@ -53,8 +56,21 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
+        Some("loc") => {
+            let root = args
+                .get(1)
+                .map(PathBuf::from)
+                .unwrap_or_else(workspace_root);
+            let counts = xtask::loc::count_workspace(&root);
+            for (name, lines) in &counts {
+                println!("{name:<16} {lines:>7}");
+            }
+            let total: usize = counts.iter().map(|(_, lines)| lines).sum();
+            println!("{:<16} {total:>7}", "total");
+            ExitCode::SUCCESS
+        }
         _ => {
-            eprintln!("usage: cargo run -p xtask -- <lint | audit-waivers> [workspace-root]");
+            eprintln!("usage: cargo run -p xtask -- <lint | audit-waivers | loc> [workspace-root]");
             ExitCode::from(2)
         }
     }
