@@ -1,14 +1,14 @@
-//! Criterion bench for the NoC simulator's cycle rate: active-set vs
-//! reference vs tile-sharded vs event-driven kernel across mesh sizes
-//! and VC counts, ungated and with the in-loop sleep FSM enabled. The
-//! active-set kernel must win big at the low injection rates the
-//! leakage study sweeps, the gating bookkeeping must stay cheap, the
-//! VC generalization must not tax the single-VC fast path, the
-//! sharded kernel's tiling must pay at the 64×64 scale (cache
-//! locality even on one thread; parallel scaling on real cores), and
-//! the event kernel's time wheel must beat the active set wherever
-//! the network quiesces — the low-rate rows — while staying merely
-//! comparable at saturation.
+//! Criterion bench for the NoC simulator's cycle rate: active-set (the
+//! sharded kernel on one tile) vs reference vs tile-sharded vs
+//! event-driven kernel across mesh sizes and VC counts, ungated and
+//! with the in-loop sleep FSM enabled. The active-set run must win big
+//! at the low injection rates the leakage study sweeps, the gating
+//! bookkeeping must stay cheap, the VC generalization must not tax the
+//! single-VC fast path, the sharded kernel's tiling must pay at the
+//! 64×64 scale (cache locality even on one thread; parallel scaling on
+//! real cores), and the event kernel's time wheel must beat the active
+//! set wherever the network quiesces — the low-rate rows — while
+//! staying merely comparable at saturation.
 //!
 //! Set `NETSIM_BENCH_QUICK=1` (CI) to shrink the grid and sample count
 //! to a smoke run.
@@ -28,31 +28,26 @@ fn bench_mesh_cycles(c: &mut Criterion) {
         policy: GatingPolicy::IdleThreshold(4),
         wake_latency: 1,
     });
-    const SERIAL: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Reference,
-        SimKernel::EventDriven,
-    ];
-    const ALL: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Reference,
-        SimKernel::Sharded,
-        SimKernel::EventDriven,
-    ];
+    /// (label, kernel, tile count). The tile count is pinned so the
+    /// committed bench labels mean the same thing on every host;
+    /// threads stay auto (execution detail only).
+    type Kernel = (&'static str, SimKernel, usize);
+    const ACTIVE_SET: Kernel = ("active-set", SimKernel::Sharded, 1);
+    const REFERENCE: Kernel = ("reference", SimKernel::Reference, 8);
+    const SHARDED: Kernel = ("sharded", SimKernel::Sharded, 8);
+    const EVENT: Kernel = ("event", SimKernel::EventDriven, 8);
+    const SERIAL: &[Kernel] = &[ACTIVE_SET, REFERENCE, EVENT];
+    const ALL: &[Kernel] = &[ACTIVE_SET, REFERENCE, SHARDED, EVENT];
     /// Big meshes skip the dense reference kernel (it would dominate
     /// bench wall time without adding information).
-    const FAST: &[SimKernel] = &[
-        SimKernel::ActiveSet,
-        SimKernel::Sharded,
-        SimKernel::EventDriven,
-    ];
+    const FAST: &[Kernel] = &[ACTIVE_SET, SHARDED, EVENT];
     type Entry = (
         usize,
         usize,
         f64,
         usize,
         Option<SleepConfig>,
-        &'static [SimKernel],
+        &'static [Kernel],
     );
     let sizes: &[Entry] = if quick {
         &[
@@ -82,12 +77,10 @@ fn bench_mesh_cycles(c: &mut Criterion) {
     let cycles = if quick { 300 } else { 1000 };
 
     for &(w, h, rate, vcs, gating, kernels) in sizes {
-        for &kernel in kernels {
+        for &(name, kernel, shards) in kernels {
             let label = format!(
-                "{w}x{h}_r{rate}_v{vcs}{}_{}_{}cy",
+                "{w}x{h}_r{rate}_v{vcs}{}_{name}_{cycles}cy",
                 if gating.is_some() { "_gated" } else { "" },
-                kernel.name(),
-                cycles
             );
             group.bench_function(label, |b| {
                 b.iter(|| {
@@ -102,10 +95,7 @@ fn bench_mesh_cycles(c: &mut Criterion) {
                         seed: 7,
                         gating,
                         kernel,
-                        // Pinned tile geometry so the committed bench
-                        // labels mean the same thing on every host;
-                        // threads stay auto (execution detail only).
-                        shards: 8,
+                        shards,
                         ..MeshConfig::default()
                     });
                     black_box(sim.run(0, cycles))
@@ -120,8 +110,8 @@ fn bench_mesh_cycles(c: &mut Criterion) {
     // the FaultMap's BFS tables and every epoch boundary pays the
     // three-pass reap, so this row vs its healthy twin above is the
     // price of graceful degradation.
-    for &kernel in ALL {
-        let label = format!("16x16_r0.005_v1_faulted_{}_{}cy", kernel.name(), cycles);
+    for &(name, kernel, shards) in ALL {
+        let label = format!("16x16_r0.005_v1_faulted_{name}_{cycles}cy");
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut sim = Simulation::new(MeshConfig {
@@ -133,7 +123,7 @@ fn bench_mesh_cycles(c: &mut Criterion) {
                     buffer_depth: 4,
                     seed: 7,
                     kernel,
-                    shards: 8,
+                    shards,
                     faults: Some(FaultPlan {
                         seed: 17,
                         link_faults: 2,

@@ -89,7 +89,21 @@ const DEPTH_PER_VC: usize = 4;
 
 /// Cache-key domain: versions the job payload encoding. Bump whenever
 /// the payload format or the digested field set changes.
-const DIGEST_DOMAIN: &str = "x3.schema8.v1";
+const DIGEST_DOMAIN: &str = "x3.schema8.v2";
+
+/// A simulator configuration a grid point runs under: (label, kernel,
+/// tile count overriding `--shards`). The label names the
+/// configuration in rows, job labels and `x3_sweep_stats_<label>.json`.
+type SweepKernel = (&'static str, SimKernel, Option<usize>);
+
+/// Every configuration, in row order; the serial `active-set` speedup
+/// baseline is the sharded kernel on one tile.
+const SWEEP_KERNELS: [SweepKernel; 4] = [
+    ("active-set", SimKernel::Sharded, Some(1)),
+    ("reference", SimKernel::Reference, None),
+    ("sharded", SimKernel::Sharded, None),
+    ("event", SimKernel::EventDriven, None),
+];
 
 /// One point of the sweep grid (kernel-independent).
 #[derive(Clone)]
@@ -351,16 +365,19 @@ fn savings_fraction(energy_never: f64, energy_policy: f64) -> f64 {
 
 /// The job's cache key: the full engine config (exhaustive, via
 /// [`mesh_config`]) plus every sweep-level input that shapes the
-/// payload — run lengths, repetitions, the gating parameter set, the
-/// clock, and whether timings are pinned.
+/// payload — the configuration label (`--shards 1` gives `sharded` the
+/// same engine config as `active-set`), run lengths, repetitions, the
+/// gating parameter set, the clock, and whether timings are pinned.
 fn job_digest(
     point: &GridPoint,
+    label: &str,
     cfg: &MeshConfig,
     reps: u32,
     deterministic: bool,
     clock: Hertz,
 ) -> String {
     mesh_config(DigestBuilder::new(DIGEST_DOMAIN), cfg)
+        .field("config", label)
         .field("scheme", point.scheme.name())
         .field("warmup", point.warmup)
         .field("measure", point.measure)
@@ -393,10 +410,12 @@ Grid flags:
                      instead of the committed BENCH_noc.json)
   --faults           include the fault dimension in smoke grids
                      (the full grid always carries it)
-  --kernel <k>       active-set | reference | sharded | event | both | all
-                     (default all)
+  --kernel <k>       active-set | reference | sharded | event | all
+                     (default all; active-set is the sharded kernel
+                     on one tile)
   --seed <n>         sweep seed (default 2005)
-  --shards <n>       sharded-kernel tile count (default 8; 0 = one per core)
+  --shards <n>       sharded-kernel tile count (default 8; 0 = one tile
+                     below 64x64, one per core from there)
   --threads <n>      sharded-kernel worker threads (default 0 = auto)
   --vcs <list>       VC counts, e.g. 1,2,4
   --inject-panic     append a job that always panics (supervision demo:
@@ -417,31 +436,22 @@ fn main() {
     // baseline quantifies graceful degradation); smoke grids opt in
     // with `--faults` so the plain CI smoke run stays minimal.
     let with_faults = !smoke || args.iter().any(|a| a == "--faults");
-    let kernels: Vec<SimKernel> = match arg_value(&args, "--kernel") {
-        None | Some("all") => vec![
-            SimKernel::ActiveSet,
-            SimKernel::Reference,
-            SimKernel::Sharded,
-            SimKernel::EventDriven,
-        ],
-        Some("both") => vec![SimKernel::ActiveSet, SimKernel::Reference],
-        Some("active-set") => vec![SimKernel::ActiveSet],
-        Some("reference") => vec![SimKernel::Reference],
-        Some("sharded") => vec![SimKernel::Sharded],
-        Some("event") => vec![SimKernel::EventDriven],
-        Some(other) => {
-            panic!(
-                "unknown --kernel {other} (active-set | reference | sharded | event | both | all)"
-            )
-        }
+    let kernels: Vec<SweepKernel> = match arg_value(&args, "--kernel") {
+        None | Some("all") => SWEEP_KERNELS.to_vec(),
+        Some(label) => vec![*SWEEP_KERNELS
+            .iter()
+            .find(|k| k.0 == label)
+            .unwrap_or_else(|| {
+                panic!("unknown --kernel {label} (active-set | reference | sharded | event | all)")
+            })],
     };
     let seed: u64 = arg_value(&args, "--seed")
         .map(|s| s.parse().expect("--seed takes an integer"))
         .unwrap_or(2005);
     // Tile geometry for the sharded kernel. `--shards 0` lets the
-    // simulator pick one tile per core; the committed baseline pins 8
-    // so the recorded geometry does not depend on the host. Thread
-    // count never changes results — only wall time.
+    // simulator pick by mesh size and core count; the committed
+    // baseline pins 8 so the recorded geometry does not depend on the
+    // host. Thread count never changes results — only wall time.
     let shards: usize = arg_value(&args, "--shards")
         .map(|s| s.parse().expect("--shards takes an integer"))
         .unwrap_or(8);
@@ -966,17 +976,17 @@ fn main() {
     // event-showcase row on the active-set/event pair only; smoke
     // grids (which carry neither) keep every kernel everywhere so the
     // per-kernel digest files stay row-aligned for CI's diff.
-    let kernels_for = |point: &GridPoint| -> Vec<SimKernel> {
+    let kernels_for = |point: &GridPoint| -> Vec<SweepKernel> {
         kernels
             .iter()
             .copied()
-            .filter(|&k| {
+            .filter(|&(label, ..)| {
                 if smoke {
                     return true;
                 }
-                match k {
-                    SimKernel::Reference => !point.too_big_for_reference(),
-                    SimKernel::Sharded => !point.huge_event_showcase(),
+                match label {
+                    "reference" => !point.too_big_for_reference(),
+                    "sharded" => !point.huge_event_showcase(),
                     _ => true,
                 }
             })
@@ -993,14 +1003,15 @@ fn main() {
     let clock = cfg.clock;
     let warmed: Arc<Mutex<Vec<(usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut jobs: Vec<Job> = Vec::new();
-    // Parallel to `jobs`: which (grid point, kernel) a job computes
-    // (`None` for the injected demo jobs, which contribute no rows).
-    let mut job_meta: Vec<Option<(usize, SimKernel)>> = Vec::new();
+    // Parallel to `jobs`: which grid point a job computes (`None` for
+    // the injected demo jobs, which contribute no rows).
+    let mut job_meta: Vec<Option<usize>> = Vec::new();
     for (point_idx, point) in grid.iter().enumerate() {
-        for kernel in kernels_for(point) {
+        for (name, kernel, tiles) in kernels_for(point) {
             let reps = if deterministic { 1 } else { point.reps.max(1) };
-            let sim_cfg = mesh_cfg(point, kernel, seed, shards, threads, flags.deadline_cycles);
-            let digest = job_digest(point, &sim_cfg, reps, deterministic, clock);
+            let tiles = tiles.unwrap_or(shards);
+            let sim_cfg = mesh_cfg(point, kernel, seed, tiles, threads, flags.deadline_cycles);
+            let digest = job_digest(point, name, &sim_cfg, reps, deterministic, clock);
             let fault_tag = point.faults.as_ref().map(|_| " faulted").unwrap_or("");
             let label = format!(
                 "{} {}x{} {} rate {} vcs {} {}{} [{}]",
@@ -1012,7 +1023,7 @@ fn main() {
                 point.vcs,
                 point.policy,
                 fault_tag,
-                kernel.name(),
+                name,
             );
             let point = point.clone();
             let warmed = warmed.clone();
@@ -1035,7 +1046,7 @@ fn main() {
                         let _ = sim.try_run(point.warmup, point.measure);
                     }
                 }
-                // Construction (including the active-set kernel's
+                // Construction (including the stepping kernels'
                 // route-table build) stays outside the timer: cycle
                 // rate measures the loop. Best-of-`reps` wall time —
                 // the repeats are identical simulations, so the
@@ -1082,7 +1093,7 @@ fn main() {
                     clock,
                 );
                 Ok(PointPayload {
-                    kernel: sim_cfg.kernel.name().to_string(),
+                    kernel: name.to_string(),
                     shards: shards as u64,
                     threads: threads as u64,
                     wall_s,
@@ -1109,7 +1120,7 @@ fn main() {
                 }
                 .render())
             }));
-            job_meta.push(Some((point_idx, kernel)));
+            job_meta.push(Some(point_idx));
         }
     }
     // Injected-failure demo jobs: exercise the supervision path
@@ -1189,7 +1200,7 @@ fn main() {
     }
     let mut rows: Vec<Row> = Vec::new();
     for ((status, meta), job) in report.statuses.iter().zip(&job_meta).zip(&jobs) {
-        let (Some((point_idx, _)), Some(payload)) = (meta, status.payload()) else {
+        let (Some(point_idx), Some(payload)) = (meta, status.payload()) else {
             continue;
         };
         let payload = PointPayload::parse(payload)
@@ -1241,11 +1252,11 @@ fn main() {
             })
             .map(|r| r.payload.avg_latency)
     };
-    // Cycle rate of a given kernel on a given point, if it ran (and
-    // timings are not pinned by --deterministic).
-    let cps_of = |point_idx: usize, kernel: SimKernel| -> Option<f64> {
+    // Cycle rate of a given configuration on a given point, if it ran
+    // (and timings are not pinned by --deterministic).
+    let cps_of = |point_idx: usize, name: &str| -> Option<f64> {
         rows.iter()
-            .find(|r| r.point_idx == point_idx && r.payload.kernel == kernel.name())
+            .find(|r| r.point_idx == point_idx && r.payload.kernel == name)
             .map(|r| r.payload.cycles_per_sec)
             .filter(|&cps| cps > 0.0)
     };
@@ -1284,7 +1295,7 @@ fn main() {
         "  \"kernels\": [{}],",
         kernels
             .iter()
-            .map(|k| format!("\"{}\"", k.name()))
+            .map(|k| format!("\"{}\"", k.0))
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -1317,7 +1328,7 @@ fn main() {
         if point.policy != GatingPolicy::Never {
             worst_disagreement = worst_disagreement.max(agreement);
         }
-        let speedup_vs_active = cps_of(r.point_idx, SimKernel::ActiveSet)
+        let speedup_vs_active = cps_of(r.point_idx, "active-set")
             .map(|base| format!("{:.2}", p.cycles_per_sec / base))
             .unwrap_or_else(|| "null".to_string());
         let fault_count = point
@@ -1402,10 +1413,10 @@ fn main() {
     let mut min_event_low_rate: f64 = f64::INFINITY;
     let mut event_low_rate_10x_rows: u32 = 0;
     for (i, point) in grid.iter().enumerate() {
-        let active = cps_of(i, SimKernel::ActiveSet);
-        let reference = cps_of(i, SimKernel::Reference);
-        let sharded = cps_of(i, SimKernel::Sharded);
-        let event = cps_of(i, SimKernel::EventDriven);
+        let active = cps_of(i, "active-set");
+        let reference = cps_of(i, "reference");
+        let sharded = cps_of(i, "sharded");
+        let event = cps_of(i, "event");
         let (Some(active), reference, sharded, event) = (active, reference, sharded, event) else {
             continue;
         };
@@ -1487,10 +1498,10 @@ fn main() {
 
     // Stats digests for file-level kernel diffing in CI (in grid
     // order, exactly the rows that ran).
-    for &kernel in &kernels {
+    for &(name, ..) in &kernels {
         let body: Vec<&String> = rows
             .iter()
-            .filter(|r| r.payload.kernel == kernel.name())
+            .filter(|r| r.payload.kernel == name)
             .map(|r| &r.payload.digest_line)
             .collect();
         let mut s = String::from("[\n");
@@ -1498,7 +1509,7 @@ fn main() {
             let _ = writeln!(s, "  {}{}", d, if i + 1 == body.len() { "" } else { "," });
         }
         s.push_str("]\n");
-        lnoc_bench::write_artifact(&format!("x3_sweep_stats_{}.json", kernel.name()), &s);
+        lnoc_bench::write_artifact(&format!("x3_sweep_stats_{name}.json"), &s);
     }
 
     if smoke {

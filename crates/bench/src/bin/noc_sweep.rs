@@ -20,16 +20,16 @@ use lnoc_power::report::TextTable;
 use lnoc_power::router::RouterPowerModel;
 use rayon::prelude::*;
 
-const DIGEST_DOMAIN: &str = "x2.v1";
+const DIGEST_DOMAIN: &str = "x2.v2";
 
 const USAGE: &str = "\
 noc_sweep — X2 network-level gating savings across patterns and loads
 
 Sweep flags:
-  --kernel <k>       simulation kernel: auto | active-set | reference |
-                     sharded | event (default auto; results are
-                     bit-identical across kernels — the flag only picks
-                     which engine produces them)
+  --kernel <k>       simulation kernel: auto | reference | sharded |
+                     event (default auto; results are bit-identical
+                     across kernels — the flag only picks which engine
+                     produces them)
 ";
 
 /// Parses `--flag value` style arguments.
@@ -49,12 +49,11 @@ fn main() {
     let flags = SweepFlags::parse(&args);
     let kernel = match arg_value(&args, "--kernel") {
         None | Some("auto") => SimKernel::Auto,
-        Some("active-set") => SimKernel::ActiveSet,
         Some("reference") => SimKernel::Reference,
         Some("sharded") => SimKernel::Sharded,
         Some("event") => SimKernel::EventDriven,
         Some(other) => {
-            panic!("unknown --kernel {other} (auto | active-set | reference | sharded | event)")
+            panic!("unknown --kernel {other} (auto | reference | sharded | event)")
         }
     };
     let cfg = CrossbarConfig::paper();

@@ -9,7 +9,7 @@
 //! expansion is a pure function of `(plan, mesh)`, keyed like the
 //! per-router RNG streams (a private salt XOR'd into the plan seed), so
 //! the same plan produces bit-identical fault timelines under the
-//! `Reference`, `ActiveSet` and `Sharded` kernels and every
+//! `Reference`, `Sharded` and `EventDriven` kernels and every
 //! shards×threads count.
 //!
 //! The simulation applies each epoch at a cycle boundary (between the

@@ -8,8 +8,8 @@
 //! * [`SimKernel::Reference`] — the dense oracle: every router is
 //!   stepped every cycle and the credit state is rebuilt O(5·V·n) per
 //!   cycle from the live buffers. Simple, obviously correct, slow.
-//! * [`SimKernel::ActiveSet`] — the serial production kernel: a
-//!   worklist of routers that can possibly do work this cycle
+//! * [`SimKernel::Sharded`] — the stepping production kernel: per
+//!   tile, a worklist of routers that can possibly do work this cycle
 //!   (buffered flits, an output VC lane held mid-packet, or a waiting
 //!   source packet — sleep-FSM motion earns no membership: an empty
 //!   router's FSM future is closed-form and replayed in bulk, see
@@ -17,14 +17,16 @@
 //!   entirely; their idle cycles are accounted in O(1) bulk when they
 //!   reactivate or the window closes, and the credit counters are
 //!   maintained incrementally on flit departure/arrival instead of
-//!   rebuilt.
-//! * [`SimKernel::Sharded`] — the active-set kernel, tiled: the mesh
-//!   is partitioned into full-width row bands
-//!   ([`crate::topology::TileMap`]), each band owns a contiguous slice
+//!   rebuilt. The mesh is partitioned into full-width row bands
+//!   ([`crate::topology::TileMap`]); each band owns a contiguous slice
 //!   of every per-router SoA slab (router buffers and lane owners,
 //!   idle/FSM/gating lanes, credits, RNG streams, source queues) plus
 //!   its own worklist bitset, and bands step concurrently on worker
-//!   threads ([`MeshConfig::shards`] / [`MeshConfig::threads`]).
+//!   threads ([`MeshConfig::shards`] / [`MeshConfig::threads`]). One
+//!   tile is the serial worklist kernel: no mailboxes, one worker.
+//! * [`SimKernel::EventDriven`] — the leaping kernel: one tile, with
+//!   each source's next arrival parked on a time wheel so the clock
+//!   leaps over cycles in which the network holds no flits.
 //!
 //! ## Why the sharded kernel is deterministic
 //!
@@ -64,14 +66,14 @@
 //! occupancy < depth`), which is what keeps the refactor
 //! behaviour-preserving at one VC.
 //!
-//! The two kernels produce **bit-identical [`NetworkStats`]** for the
+//! The kernels produce **bit-identical [`NetworkStats`]** for the
 //! same [`MeshConfig`]: all RNG draws (injection, bursty flips,
-//! destinations) happen per node per cycle in both kernels, and the
-//! active-set kernel only skips work that draws no randomness and whose
-//! effect is a closed-form function of the skipped cycle count. The
-//! kernel-equivalence property tests pin this across traffic patterns,
-//! injection processes, topologies, VC counts, gating policies and
-//! visit order.
+//! destinations) come from the same per-node streams in every kernel,
+//! and the worklist and leap kernels only skip work that draws no
+//! randomness and whose effect is a closed-form function of the
+//! skipped cycle count. The kernel-equivalence property tests pin this
+//! across traffic patterns, injection processes, topologies, VC
+//! counts, gating policies and visit order.
 //!
 //! **RNG discipline.** Every node draws from its own deterministic
 //! stream, keyed by `(seed, router id)` ([`node_rng`]), and packet ids
@@ -87,7 +89,7 @@
 //!
 //! * Credit state is evaluated against the cycle-start snapshot
 //!   (rebuilt per cycle in the reference kernel, mutated only in the
-//!   transfer phase in the active-set kernel), so results are
+//!   transfer phase in the worklist kernels), so results are
 //!   independent of the order routers are visited in — see
 //!   [`Simulation::set_visit_reversed`] and the order-independence
 //!   test.
@@ -99,9 +101,9 @@
 //!   reintroduces a cycle.
 //! * Ejection order is validated on the fly: every packet must arrive
 //!   at its destination head-first, contiguously, with exactly
-//!   `packet_len_flits` flits. The check is always on in debug builds
-//!   and behind [`MeshConfig::validate_ejection`] in release, so sweep
-//!   binaries do not pay per-flit assertion cost.
+//!   `packet_len_flits` flits. The check runs in debug builds (and
+//!   therefore under `cargo test`); release builds skip the per-flit
+//!   assertion cost.
 //! * The per-cycle scratch (transfers, idle-ended slice, worklist) is
 //!   reused across cycles and [`crate::router::Router::step_fast`] is
 //!   allocation-free, so the steady-state loop performs no heap
@@ -126,35 +128,33 @@ use std::sync::Mutex;
 
 /// Which cycle-loop kernel executes the simulation.
 ///
-/// Both kernels produce bit-identical [`NetworkStats`] for the same
+/// Every kernel produces bit-identical [`NetworkStats`] for the same
 /// seed; they differ only in speed. `Reference` is retained as the
-/// oracle the fast kernel is tested against (the same playbook as the
-/// circuit engine's `SolverKind::Reference`).
+/// oracle the fast kernels are tested against (the same playbook as
+/// the circuit engine's `SolverKind::Reference`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SimKernel {
     /// Choose automatically. The kernels are result-identical, so the
     /// choice is purely about speed: [`Simulation::new`] resolves
     /// `Auto` to `EventDriven` for offered loads at or below
     /// [`SimKernel::AUTO_EVENT_MAX_RATE`] (where the clock mostly
-    /// leaps), to `Sharded` for meshes of at least
-    /// [`SimKernel::AUTO_SHARD_MIN_ROUTERS`] routers above that load
-    /// (where parallelism pays for the tile tax) and to `ActiveSet`
-    /// everywhere else, so small busy runs never pay either overhead.
+    /// leaps) and to `Sharded` above it, whose default tile count
+    /// ([`MeshConfig::shards`] `= 0`) keeps small busy runs on one
+    /// serial tile.
     #[default]
     Auto,
-    /// Worklist kernel: only routers that can possibly do work are
-    /// stepped; quiescent routers are bulk-accounted in O(1) when they
-    /// reactivate.
-    ActiveSet,
     /// Dense oracle: every router stepped every cycle, credit state
     /// rebuilt O(5·V·n) per cycle.
     Reference,
-    /// Tile-sharded kernel: the mesh is partitioned into row bands
-    /// ([`crate::topology::TileMap`]), each band runs the active-set
-    /// step on its own worker, and boundary traffic crosses through
-    /// double-buffered mailboxes. Bit-identical to the serial kernels
-    /// for every shard and thread count (see
-    /// [`MeshConfig::shards`] / [`MeshConfig::threads`]).
+    /// Tile-sharded worklist kernel: the mesh is partitioned into row
+    /// bands ([`crate::topology::TileMap`]); within each band only
+    /// routers that can possibly do work are stepped, and quiescent
+    /// routers are bulk-accounted in O(1) when they reactivate. Each
+    /// band runs on its own worker, and boundary traffic crosses
+    /// through double-buffered mailboxes. With one tile it is the
+    /// serial worklist kernel. Bit-identical for every shard and
+    /// thread count (see [`MeshConfig::shards`] /
+    /// [`MeshConfig::threads`]).
     Sharded,
     /// Event-driven leap kernel: each source's next injection arrival
     /// — the shared gap-sampled renewal slot for Bernoulli traffic
@@ -168,15 +168,16 @@ pub enum SimKernel {
     /// including exact fault-epoch and cycle-budget boundaries — and
     /// fastest exactly where the leakage study lives: low rates, where
     /// most cycles are dead. At saturation the wheel never empties and
-    /// the kernel degrades to ~active-set per-cycle stepping.
+    /// the kernel degrades to one-tile worklist stepping.
     EventDriven,
 }
 
 impl SimKernel {
-    /// Router count at which `Auto` starts picking the sharded kernel
-    /// (64×64). Below it the per-tile overhead outweighs the
-    /// parallelism (the sharded kernel measures ~0.65× the serial rate
-    /// at 4×4 but ≥1.1× at 64×64 and above).
+    /// Router count (64×64) from which [`MeshConfig::shards`] `= 0`
+    /// gives the sharded kernel one tile per core; smaller meshes run
+    /// one tile, where the per-tile overhead would outweigh the
+    /// parallelism (several tiles measure ~0.65× the one-tile rate at
+    /// 4×4 but ≥1.1× at 64×64 and above).
     pub const AUTO_SHARD_MIN_ROUTERS: usize = 4096;
 
     /// Offered load at or below which `Auto` picks the event-driven
@@ -190,28 +191,18 @@ impl SimKernel {
     /// Router count at or above which `Auto` picks the event-driven
     /// kernel regardless of offered load. With lazy per-router leap
     /// settlement, every per-run cost the event kernel pays is
-    /// O(touched), while both per-cycle kernels pay O(n) per cycle —
+    /// O(touched), while the stepping kernels pay O(n) per cycle —
     /// so at million-router scale (512×512 and up) even busy meshes
     /// come out ahead: a higher load means fewer leaps, but the
     /// stepped cycles still only touch the routers that hold flits.
     pub const AUTO_EVENT_MIN_ROUTERS: usize = 262_144;
 
-    /// Resolves `Auto` without mesh context — the zero-load answer
-    /// (`EventDriven`, the fastest kernel when nothing is offered).
-    /// [`Simulation::new`] uses [`SimKernel::resolve_for`], which also
-    /// considers the mesh size and offered load.
-    pub fn resolve(self) -> SimKernel {
-        self.resolve_for(0, 0.0)
-    }
-
     /// Resolves `Auto` for a concrete configuration: `EventDriven` at
     /// or below [`SimKernel::AUTO_EVENT_MAX_RATE`] offered load or for
     /// meshes of at least [`SimKernel::AUTO_EVENT_MIN_ROUTERS`]
-    /// routers (any load), `Sharded` for meshes of at least
-    /// [`SimKernel::AUTO_SHARD_MIN_ROUTERS`] routers above that load,
-    /// `ActiveSet` otherwise. Safe to key on size and load because
-    /// statistics are bit-identical across kernels and shard counts —
-    /// only throughput changes.
+    /// routers (any load), `Sharded` otherwise. Safe to key on size and
+    /// load because statistics are bit-identical across kernels and
+    /// shard counts — only throughput changes.
     pub fn resolve_for(self, routers: usize, injection_rate: f64) -> SimKernel {
         match self {
             SimKernel::Auto => {
@@ -219,10 +210,8 @@ impl SimKernel {
                     || routers >= Self::AUTO_EVENT_MIN_ROUTERS
                 {
                     SimKernel::EventDriven
-                } else if routers >= Self::AUTO_SHARD_MIN_ROUTERS {
-                    SimKernel::Sharded
                 } else {
-                    SimKernel::ActiveSet
+                    SimKernel::Sharded
                 }
             }
             k => k,
@@ -233,7 +222,6 @@ impl SimKernel {
     pub fn name(self) -> &'static str {
         match self {
             SimKernel::Auto => "auto",
-            SimKernel::ActiveSet => "active-set",
             SimKernel::Reference => "reference",
             SimKernel::Sharded => "sharded",
             SimKernel::EventDriven => "event",
@@ -326,10 +314,6 @@ pub struct MeshConfig {
     pub gating: Option<SleepConfig>,
     /// Cycle-loop kernel (see [`SimKernel`]).
     pub kernel: SimKernel,
-    /// Run the per-flit in-order ejection validation in release builds
-    /// too. Debug builds (and therefore `cargo test`) always validate;
-    /// release sweeps default to skipping the assertion cost.
-    pub validate_ejection: bool,
     /// Maximum packets a node's source queue holds (≥ 1). Offers made
     /// while the queue is full are rejected and counted in
     /// [`NetworkStats::packets_dropped_at_source`] — without the cap, a
@@ -345,13 +329,6 @@ pub struct MeshConfig {
     /// [`Simulation::run`] panics with the same text. `0` disables
     /// the watchdog.
     pub watchdog_cycles: u64,
-    /// Escape hatch for deadlock debugging: when set, the watchdog
-    /// panics at the fire site inside the worker (the historical
-    /// behaviour) even under [`Simulation::try_run`], so a test or a
-    /// debugger sees the stack of the wedged worker instead of a
-    /// returned error. The panic payload is the same diagnostic text
-    /// either way.
-    pub panic_on_deadlock: bool,
     /// Upper bound on cycles one `run`/`try_run` call may execute
     /// (`0` = unlimited). If `warmup + measure` exceeds the budget the
     /// worker loop stops at the boundary and the run aborts with
@@ -361,12 +338,13 @@ pub struct MeshConfig {
     /// identically; orchestrators use it as the in-engine half of a
     /// per-point deadline (the engine itself stays wall-clock-free).
     pub cycle_budget: u64,
-    /// Tile count for [`SimKernel::Sharded`] (`0` = auto: one tile per
-    /// available core). Clamped to the mesh height (every tile band
-    /// owns at least one row). **Never changes results**: statistics
-    /// are bit-identical for every shard count — the count only trades
-    /// parallelism against per-tile work. Ignored by the serial
-    /// kernels.
+    /// Tile count for [`SimKernel::Sharded`] (`0` = auto: one tile
+    /// below [`SimKernel::AUTO_SHARD_MIN_ROUTERS`] routers, one per
+    /// available core at or above it). Clamped to the mesh height
+    /// (every tile band owns at least one row). **Never changes
+    /// results**: statistics are bit-identical for every shard count —
+    /// the count only trades parallelism against per-tile work.
+    /// Ignored by the serial kernels.
     pub shards: usize,
     /// Worker threads for [`SimKernel::Sharded`] (`0` = auto: one per
     /// available core, at most one per shard). Purely an execution
@@ -383,16 +361,6 @@ pub struct MeshConfig {
     /// reproducible as healthy ones. Faulted meshes are capped at
     /// [`FaultMap::MAX_ROUTERS`] routers.
     pub faults: Option<FaultPlan>,
-    /// Force the pre-debt *eager* measurement-boundary behaviour: at
-    /// the boundary, reset every router's idle runs, sleep FSMs and
-    /// gating counters up front instead of deferring untouched routers'
-    /// settlement to first touch or close-out. Results are bit-identical
-    /// either way — this switch exists so the lazy-settlement property
-    /// tests can run the eager path as the oracle. Leave `false`
-    /// (deferred) everywhere else: eager settlement costs O(routers) at
-    /// the boundary, which at a million routers dwarfs the event
-    /// kernel's whole cycle loop.
-    pub eager_settlement: bool,
 }
 
 impl MeshConfig {
@@ -422,15 +390,12 @@ impl Default for MeshConfig {
             injection: InjectionProcess::Bernoulli,
             gating: None,
             kernel: SimKernel::Auto,
-            validate_ejection: false,
             source_queue_cap: MeshConfig::DEFAULT_SOURCE_QUEUE_CAP,
             watchdog_cycles: MeshConfig::DEFAULT_WATCHDOG_CYCLES,
-            panic_on_deadlock: false,
             cycle_budget: 0,
             shards: 0,
             threads: 0,
             faults: None,
-            eager_settlement: false,
         }
     }
 }
@@ -477,8 +442,8 @@ struct EjectProgress {
 
 /// One flit crossing a link (or ejecting) this cycle, recorded during
 /// router stepping and applied afterwards so a flit moves one hop per
-/// cycle. Carries the input lane it was popped from so the active-set
-/// kernel can return the freed slot's credit to the upstream router.
+/// cycle. Carries the input lane it was popped from so the worklist
+/// kernels can return the freed slot's credit to the upstream router.
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     from: u32,
@@ -532,7 +497,7 @@ pub struct Simulation {
     /// the downstream input VC buffer reachable through that output
     /// lane (0 for edge ports without a link; Local lanes unused, the
     /// ejection port always sinks). The reference kernel rebuilds them
-    /// every cycle; the active-set and sharded kernels maintain them
+    /// every cycle; the sharded and event kernels maintain them
     /// incrementally on departure (consume) and downstream pop
     /// (return).
     credits: Vec<u32>,
@@ -649,8 +614,7 @@ struct ShardScratch {
     /// sleep FSMs and gating counters (their *settlement debt*), paid
     /// on first touch ([`ShardView::activate`]), at close-out
     /// ([`ShardView::close_run`]) or when an abort freezes the run.
-    /// `None` during warmup, on the reference kernel and under
-    /// [`MeshConfig::eager_settlement`].
+    /// `None` during warmup and on the reference kernel.
     boundary: Option<u64>,
     /// Deferred boundary settlements paid, touch + close-out (persists
     /// across runs, like `cycles_leapt`).
@@ -775,12 +739,6 @@ struct RunCtx<'a> {
     warmup: u64,
     measure: u64,
     start_cycle: u64,
-    /// Whether this run defers the measurement-boundary settlement of
-    /// untouched routers (the debt/watermark scheme). Off for the
-    /// reference kernel — it fills the worklist wholesale instead of
-    /// going through `activate`, so debts would never be paid — and
-    /// under [`MeshConfig::eager_settlement`].
-    deferred: bool,
     on_rate: f64,
     /// Geometric gap sampler for the Bernoulli renewal chain.
     gap: &'a GapSampler,
@@ -899,15 +857,21 @@ impl Simulation {
             .as_ref()
             .and_then(|plan| FaultSchedule::build(plan, &mesh));
         // Shard geometry: the serial kernels always run one tile; the
-        // sharded kernel defaults to one tile per available core,
-        // clamped so every tile band owns at least one row. The shard
-        // count never changes results — only how work is partitioned.
+        // sharded kernel defaults to one tile below
+        // `AUTO_SHARD_MIN_ROUTERS` routers and one per available core
+        // from there, clamped so every tile band owns at least one row.
+        // The shard count never changes results — only how work is
+        // partitioned.
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         let (shard_count, threads) = match kernel {
             SimKernel::Sharded => {
-                let s = if cfg.shards > 0 { cfg.shards } else { cores };
+                let s = match cfg.shards {
+                    0 if n < SimKernel::AUTO_SHARD_MIN_ROUTERS => 1,
+                    0 => cores,
+                    s => s,
+                };
                 let s = s.clamp(1, cfg.height);
                 let t = if cfg.threads > 0 { cfg.threads } else { cores };
                 (s, t.clamp(1, s))
@@ -1145,9 +1109,9 @@ impl Simulation {
 
     /// Deferred measurement-boundary settlements paid since
     /// construction — on first touch, at close-out, or when an abort
-    /// froze the run. Zero under eager settlement (the reference
-    /// kernel, or [`MeshConfig::eager_settlement`]). Performance
-    /// telemetry only, like [`Simulation::cycles_leapt_total`].
+    /// froze the run. Zero on the reference kernel, which settles
+    /// eagerly. Performance telemetry only, like
+    /// [`Simulation::cycles_leapt_total`].
     pub fn routers_settled_total(&self) -> u64 {
         self.scratch.iter().map(|s| s.routers_settled).sum()
     }
@@ -1237,8 +1201,6 @@ impl Simulation {
     /// [`MeshConfig::cycle_budget`] overrun comes back as
     /// `Err(`[`SimAbort`]`)` instead of a panic, so an orchestrator can
     /// record the failure and move on to the next configuration.
-    /// (Exception: with [`MeshConfig::panic_on_deadlock`] set, the
-    /// watchdog still panics at the fire site inside the worker.)
     ///
     /// After an `Err` the simulation holds the network frozen at the
     /// abort cycle — consistent (flit and credit conservation hold,
@@ -1251,7 +1213,7 @@ impl Simulation {
     /// are reset, so the idle histograms and the in-loop gating
     /// counters describe exactly the same intervals.
     ///
-    /// All three kernels run through the same two-phase engine: the
+    /// Every kernel runs through the same two-phase engine: the
     /// per-router slabs are carved into per-shard [`ShardView`]s (one
     /// for the serial kernels) and each worker executes the cycle loop
     /// over its tiles, exchanging boundary traffic through the
@@ -1320,7 +1282,6 @@ impl Simulation {
                 warmup,
                 measure,
                 start_cycle: *cycle,
-                deferred: *kernel != SimKernel::Reference && !cfg.eager_settlement,
                 on_rate: cfg.injection.on_rate(cfg.injection_rate),
                 gap: &*gap,
                 faults: faults.as_ref(),
@@ -1674,20 +1635,20 @@ impl ShardView<'_> {
 
     /// Measurement-boundary reset (see [`Simulation::run`]).
     ///
-    /// Under deferred settlement (`ctx.deferred`) this is O(active),
-    /// not O(tile): the boundary cycle is recorded as the watermark in
-    /// `scratch.boundary` and only routers currently on the worklist
-    /// are reset eagerly (they are mid-step — their lanes are live this
-    /// very cycle). Every quiescent router keeps its stale warmup state
-    /// as *settlement debt* — a debtor is recognizable later by
-    /// `last_stepped ≤ watermark` with its active bit clear — paid on
-    /// first touch ([`ShardView::activate`]) or in the close-out sweep
-    /// ([`ShardView::close_run`]). The eager branch resets the whole
-    /// tile up front: the reference kernel needs it (it fills the
-    /// worklist wholesale, never through `activate`), and the
-    /// lazy-settlement property tests run it as the oracle.
+    /// Every kernel but the reference defers settlement, so this is
+    /// O(active), not O(tile): the boundary cycle is recorded as the
+    /// watermark in `scratch.boundary` and only routers currently on
+    /// the worklist are reset eagerly (they are mid-step — their lanes
+    /// are live this very cycle). Every quiescent router keeps its
+    /// stale warmup state as *settlement debt* — a debtor is
+    /// recognizable later by `last_stepped ≤ watermark` with its active
+    /// bit clear — paid on first touch ([`ShardView::activate`]) or in
+    /// the close-out sweep ([`ShardView::close_run`]). The reference kernel resets the
+    /// whole tile up front instead: it fills the worklist wholesale,
+    /// never through `activate`, so its debts would never be paid —
+    /// which makes it the lazy-settlement property tests' oracle.
     fn open_measurement(&mut self, ctx: &RunCtx<'_>, boundary_cycle: u64) {
-        if ctx.deferred {
+        if ctx.kernel != SimKernel::Reference {
             self.scratch.boundary = Some(boundary_cycle);
             let mut at = self.scratch.active.next_from(0);
             while let Some(lr) = at {
@@ -1817,11 +1778,6 @@ impl ShardView<'_> {
             .expect("buffered > 0 in some shard");
         if who == self.scratch.shard {
             let diagnostic = self.watchdog_report(ctx, cycle, buffered);
-            if ctx.cfg.panic_on_deadlock {
-                // Escape hatch: fail at the fire site so the wedged
-                // worker's stack survives into the panic.
-                panic!("{diagnostic}");
-            }
             let mut slot = ctx.abort.lock().expect("abort slot poisoned");
             *slot = Some(SimAbort::Deadlock {
                 cycle,
@@ -2725,7 +2681,7 @@ impl ShardView<'_> {
             match t.output {
                 Direction::Local => {
                     self.scratch.buffered_flits -= 1;
-                    if cfg!(debug_assertions) || ctx.cfg.validate_ejection {
+                    if cfg!(debug_assertions) {
                         self.validate_ejection(ctx, from, &t.flit);
                     }
                     if let Some(s) = stats.as_mut() {
@@ -2913,9 +2869,7 @@ impl ShardView<'_> {
     /// whether the active fault map still offers it a route — "true
     /// routing deadlock" and "stranded by a fault the reap should
     /// have caught" are different bugs — and prints the fault-map
-    /// summary. The caller either panics with the text
-    /// ([`MeshConfig::panic_on_deadlock`]) or wraps it in
-    /// [`SimAbort::Deadlock`].
+    /// summary. The caller wraps the text in [`SimAbort::Deadlock`].
     fn watchdog_report(&self, ctx: &RunCtx<'_>, cycle: u64, buffered: u64) -> String {
         let v = ctx.vcs;
         let lanes = ctx.lanes;
@@ -3125,11 +3079,11 @@ mod tests {
     fn router_visit_order_is_irrelevant() {
         // With the cycle-start credit snapshot, stepping routers in
         // reverse (or any) order must produce bit-identical statistics
-        // — in both kernels and at any VC count. Before the snapshot
-        // fix, downstream readiness read live buffers that earlier
-        // routers had already popped, so behaviour depended on
+        // — in every stepping kernel and at any VC count. Before the
+        // snapshot fix, downstream readiness read live buffers that
+        // earlier routers had already popped, so behaviour depended on
         // iteration order.
-        for kernel in [SimKernel::ActiveSet, SimKernel::Reference] {
+        for kernel in [SimKernel::Sharded, SimKernel::Reference] {
             for cfg in [
                 base_cfg(),
                 MeshConfig {
@@ -3157,7 +3111,11 @@ mod tests {
                     ..base_cfg()
                 },
             ] {
-                let cfg = MeshConfig { kernel, ..cfg };
+                let cfg = MeshConfig {
+                    kernel,
+                    shards: 1,
+                    ..cfg
+                };
                 let mut fwd = Simulation::new(cfg.clone());
                 let mut rev = Simulation::new(cfg);
                 rev.set_visit_reversed(true);
@@ -3498,9 +3456,10 @@ mod tests {
 
     #[test]
     fn auto_kernel_picks_by_size_and_load() {
-        // The decision table: low load leaps (any size), big loaded
-        // runs shard, small loaded runs stay on the serial worklist.
-        assert_eq!(SimKernel::Auto.resolve_for(16, 0.05), SimKernel::ActiveSet);
+        // The decision table: low load leaps (any size), loaded runs
+        // step on the sharded kernel, one tile below
+        // `AUTO_SHARD_MIN_ROUTERS` routers and one per core from there.
+        assert_eq!(SimKernel::Auto.resolve_for(16, 0.05), SimKernel::Sharded);
         assert_eq!(
             SimKernel::Auto.resolve_for(16, SimKernel::AUTO_EVENT_MAX_RATE),
             SimKernel::EventDriven
@@ -3520,7 +3479,7 @@ mod tests {
         );
         assert_eq!(
             SimKernel::Auto.resolve_for(SimKernel::AUTO_SHARD_MIN_ROUTERS - 1, 0.05),
-            SimKernel::ActiveSet
+            SimKernel::Sharded
         );
         // Million-router meshes leap regardless of load: with lazy
         // settlement every event-kernel cost is O(touched), while the
@@ -3533,8 +3492,6 @@ mod tests {
             SimKernel::Auto.resolve_for(SimKernel::AUTO_EVENT_MIN_ROUTERS - 1, 0.5),
             SimKernel::Sharded
         );
-        // No-context resolution is the zero-load answer.
-        assert_eq!(SimKernel::Auto.resolve(), SimKernel::EventDriven);
         // Explicit choices pass through untouched.
         assert_eq!(
             SimKernel::Reference.resolve_for(1 << 20, 1.0),
@@ -3544,8 +3501,29 @@ mod tests {
             SimKernel::EventDriven.resolve_for(16, 1.0),
             SimKernel::EventDriven
         );
-        let sim = Simulation::new(base_cfg());
-        assert_eq!(sim.kernel(), SimKernel::ActiveSet);
+
+        // The resolved geometry on both sides of the tile threshold,
+        // for `Auto` and for an explicit `Sharded` at `shards: 0`.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for kernel in [SimKernel::Auto, SimKernel::Sharded] {
+            for ((width, height), tiles) in [((4, 4), 1), ((63, 65), 1), ((64, 64), cores.min(64))]
+            {
+                let sim = Simulation::new(MeshConfig {
+                    width,
+                    height,
+                    kernel,
+                    shards: 0,
+                    ..base_cfg()
+                });
+                assert_eq!(
+                    sim.kernel(),
+                    SimKernel::Sharded,
+                    "{kernel:?} {width}x{height}"
+                );
+                assert_eq!(sim.shards(), tiles, "{kernel:?} {width}x{height}");
+                assert!(sim.threads() <= sim.shards());
+            }
+        }
         let low = MeshConfig {
             injection_rate: 0.01,
             ..base_cfg()
@@ -3593,7 +3571,7 @@ mod tests {
             reference.flits_dropped_by_fault > 0,
             "the plan must actually bite for this test to mean anything"
         );
-        assert_eq!(reference, run(SimKernel::ActiveSet, 0, 0));
+        assert_eq!(reference, run(SimKernel::Sharded, 1, 0));
         assert_eq!(
             reference,
             run(SimKernel::EventDriven, 0, 0),
@@ -3812,32 +3790,16 @@ mod tests {
     }
 
     #[test]
-    fn panic_on_deadlock_hatch_fires_inside_try_run() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut sim = Simulation::new(MeshConfig {
-                panic_on_deadlock: true,
-                ..deadlocking_cfg()
-            });
-            sim.try_run(0, 50_000)
-        }));
-        let msg = *result
-            .expect_err("the hatch panics at the fire site")
-            .downcast::<String>()
-            .expect("panic carries the diagnostic string");
-        assert!(msg.contains("watchdog"), "{msg}");
-    }
-
-    #[test]
     fn cycle_budget_aborts_identically_across_kernels() {
-        for kernel in [
-            SimKernel::ActiveSet,
-            SimKernel::Reference,
-            SimKernel::Sharded,
-            SimKernel::EventDriven,
+        for (kernel, shards) in [
+            (SimKernel::Sharded, 1),
+            (SimKernel::Reference, 4),
+            (SimKernel::Sharded, 4),
+            (SimKernel::EventDriven, 4),
         ] {
             let cfg = MeshConfig {
                 kernel,
-                shards: 4,
+                shards,
                 threads: 2,
                 cycle_budget: 200,
                 ..base_cfg()
@@ -3851,7 +3813,7 @@ mod tests {
                     budget: 200,
                     requested: 1000
                 },
-                "kernel {kernel:?}"
+                "kernel {kernel:?} at {shards} shards"
             );
         }
     }
@@ -3885,7 +3847,10 @@ mod tests {
             kernel,
             ..base_cfg()
         };
-        let mut active = Simulation::new(low(SimKernel::ActiveSet));
+        let mut active = Simulation::new(MeshConfig {
+            shards: 1,
+            ..low(SimKernel::Sharded)
+        });
         let mut event = Simulation::new(low(SimKernel::EventDriven));
         assert_eq!(event.kernel(), SimKernel::EventDriven);
         for window in 0..2 {
@@ -3925,7 +3890,10 @@ mod tests {
             kernel,
             ..base_cfg()
         };
-        let mut active = Simulation::new(sparse(SimKernel::ActiveSet));
+        let mut active = Simulation::new(MeshConfig {
+            shards: 1,
+            ..sparse(SimKernel::Sharded)
+        });
         let mut event = Simulation::new(sparse(SimKernel::EventDriven));
         for (warmup, measure) in [(100, 600), (0, 400), (0, 400)] {
             let end = event.cycle + warmup + measure;
@@ -3964,7 +3932,8 @@ mod tests {
             ..base_cfg()
         };
         let a = Simulation::new(MeshConfig {
-            kernel: SimKernel::ActiveSet,
+            kernel: SimKernel::Sharded,
+            shards: 1,
             ..bursty.clone()
         })
         .run(100, 3000);
@@ -3992,7 +3961,8 @@ mod tests {
         });
         let e = event.run(100, 1500);
         let a = Simulation::new(MeshConfig {
-            kernel: SimKernel::ActiveSet,
+            kernel: SimKernel::Sharded,
+            shards: 1,
             ..saturated
         })
         .run(100, 1500);

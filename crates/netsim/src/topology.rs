@@ -254,7 +254,7 @@ impl Mesh {
     }
 
     /// [`Mesh::dateline_class`] with both routers' coordinates already
-    /// in hand — the active-set kernel caches every router's `(x, y)`
+    /// in hand — the worklist kernels cache every router's `(x, y)`
     /// so its per-flit route closure performs no divisions.
     pub fn dateline_class_at(
         &self,
@@ -346,7 +346,7 @@ impl Mesh {
 
 /// Flat, cache-linear neighbour lookup: `ids[router * 4 + dir]` holds
 /// the neighbour in each cardinal direction (`u32::MAX` when the edge
-/// has no link). The active-set kernel's hot downstream-readiness check
+/// has no link). The worklist kernels' hot downstream-readiness check
 /// reads this instead of recomputing coordinates through
 /// [`Mesh::neighbor`] every cycle.
 #[derive(Debug, Clone)]

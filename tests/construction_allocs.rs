@@ -90,7 +90,8 @@ fn construction_allocs(side: usize) -> Calls {
         width: side,
         height: side,
         injection_rate: 0.01,
-        kernel: SimKernel::ActiveSet,
+        kernel: SimKernel::Sharded,
+        shards: 1,
         ..MeshConfig::default()
     };
     for counter in [&ALLOCS, &REALLOCS, &FREES] {

@@ -1,9 +1,10 @@
-//! The active-set, sharded and event-driven kernels are
-//! optimizations, not model changes: for any configuration and seed
-//! they must produce **bit-identical** [`NetworkStats`] to the dense
-//! reference kernel — every counter, every idle-interval histogram
-//! bin, every gating counter. These tests pin that across the full
-//! four-kernel × shard-count scenario matrix
+//! The sharded kernel (serial "active-set" on one tile, parallel on
+//! several) and the event-driven kernel are optimizations, not model
+//! changes: for any configuration and seed they must produce
+//! **bit-identical** [`NetworkStats`] to the dense reference kernel —
+//! every counter, every idle-interval histogram bin, every gating
+//! counter. These tests pin that across the full kernel × shard-count
+//! scenario matrix
 //! (`tests/sharded_equivalence.rs` adds the dedicated shard/thread
 //! dimension), including the points that stress the event kernel's
 //! leap machinery: fault epochs landing mid-leap, and saturated
@@ -26,14 +27,15 @@ fn vcs_override() -> Option<usize> {
     })
 }
 
-/// Runs one config under all four kernels — the sharded kernel at a
-/// shard count derived from the seed, so the proptest matrix sweeps
-/// shard geometries too — and asserts exact equality of stats and
-/// conservation state.
+/// Runs one config under every kernel — the sharded kernel on one tile
+/// and at a shard count derived from the seed, so the proptest matrix
+/// sweeps shard geometries too — and asserts exact equality of stats
+/// and conservation state.
 fn assert_kernels_agree(cfg: MeshConfig, warmup: u64, measure: u64, reversed: bool) {
     let shards = [1usize, 2, 4, 8][(cfg.seed % 4) as usize];
     let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+        kernel: SimKernel::Sharded,
+        shards: 1,
         ..cfg.clone()
     });
     let mut sharded = Simulation::new(MeshConfig {
@@ -400,7 +402,8 @@ fn kernels_agree_under_source_saturation() {
         ..MeshConfig::default()
     };
     let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+        kernel: SimKernel::Sharded,
+        shards: 1,
         ..cfg.clone()
     });
     let mut reference = Simulation::new(MeshConfig {

@@ -3,10 +3,11 @@
 //! The lazy path never settles a quiescent router at the measurement
 //! boundary; it records a watermark and pays each router's *settlement
 //! debt* on first touch — or at close-out, or when a deadline abort
-//! freezes the run mid-window. [`MeshConfig::eager_settlement`] keeps
-//! the original settle-everything-at-the-boundary path alive as a
-//! test-only oracle; these properties pin that the two are
-//! **bit-identical** in every observable way:
+//! freezes the run mid-window. The dense [`SimKernel::Reference`]
+//! kernel steps every router every cycle and so settles eagerly by
+//! construction: it is the oracle. These properties pin that every
+//! deferring kernel (event-driven, sharded on one tile and on several)
+//! is **bit-identical** to it in every observable way:
 //!
 //! * final [`NetworkStats`] (counters, gating, every histogram bin),
 //!   across gating policies, traffic patterns, VC counts and fault
@@ -18,63 +19,63 @@
 //!   span at the abort boundary.
 
 use leakage_noc::netsim::{
-    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, SimKernel, Simulation, SleepConfig,
-    TrafficPattern,
+    FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimAbort, SimKernel,
+    Simulation, SleepConfig, TrafficPattern,
 };
 use proptest::prelude::*;
 
-/// Runs `cfg` under one kernel with deferred settlement and with the
-/// eager oracle, asserting identical outcomes — including, on a
-/// deadline abort, a follow-up run that observes the post-abort slabs.
-fn assert_lazy_matches_eager(kernel: SimKernel, cfg: &MeshConfig, warmup: u64, measure: u64) {
-    let mut lazy = Simulation::new(MeshConfig {
-        kernel,
-        eager_settlement: false,
-        ..cfg.clone()
+/// One run's outcome and, when it aborted, the stats of a follow-up
+/// run from the frozen state.
+type Outcome = (Result<NetworkStats, SimAbort>, Option<NetworkStats>);
+
+fn outcome(cfg: MeshConfig, warmup: u64, measure: u64) -> Outcome {
+    // The abort froze the run with debts outstanding; the only way a
+    // later run agrees with the oracle is if the lazy engine settled
+    // every debtor's *partial* span (boundary → abort cycle) exactly
+    // as the eager boundary reset did.
+    let follow = cfg.cycle_budget.min(60);
+    let mut sim = Simulation::new(cfg);
+    let first = sim.try_run(warmup, measure);
+    let after = first.is_err().then(|| {
+        sim.try_run(0, follow)
+            .expect("follow-up within budget must complete")
     });
-    let mut eager = Simulation::new(MeshConfig {
-        kernel,
-        eager_settlement: true,
-        ..cfg.clone()
-    });
-    let rl = lazy.try_run(warmup, measure);
-    let re = eager.try_run(warmup, measure);
-    match (rl, re) {
-        (Ok(sl), Ok(se)) => {
-            assert_eq!(sl, se, "stats diverged from the eager oracle ({kernel:?})");
-        }
-        (Err(al), Err(ae)) => {
-            assert_eq!(al, ae, "aborts diverged from the eager oracle ({kernel:?})");
-            // The abort froze the run with debts outstanding; the only
-            // way a later run agrees is if the lazy engine settled
-            // every debtor's *partial* span (boundary → abort cycle)
-            // exactly as the eager path's boundary reset did.
-            let follow = cfg.cycle_budget.min(60);
-            let sl = lazy
-                .try_run(0, follow)
-                .expect("follow-up within budget must complete");
-            let se = eager
-                .try_run(0, follow)
-                .expect("follow-up within budget must complete");
-            assert_eq!(
-                sl, se,
-                "post-abort stats diverged from the eager oracle ({kernel:?})"
-            );
-        }
-        (rl, re) => panic!("outcome diverged for {kernel:?}: lazy {rl:?} vs eager {re:?}"),
-    }
+    (first, after)
 }
 
+/// Runs `cfg` once under the eager reference oracle and under every
+/// deferring kernel, asserting identical outcomes — including, on a
+/// deadline abort, a follow-up run that observes the post-abort slabs.
 fn all_kernels_lazy_match_eager(cfg: MeshConfig, warmup: u64, measure: u64) {
-    for kernel in [SimKernel::ActiveSet, SimKernel::EventDriven] {
-        assert_lazy_matches_eager(kernel, &cfg, warmup, measure);
+    let oracle = outcome(
+        MeshConfig {
+            kernel: SimKernel::Reference,
+            ..cfg.clone()
+        },
+        warmup,
+        measure,
+    );
+    let tiles = [2, 4][(cfg.seed % 2) as usize];
+    for (kernel, shards) in [
+        (SimKernel::EventDriven, 1),
+        (SimKernel::Sharded, 1),
+        (SimKernel::Sharded, tiles),
+    ] {
+        let lazy = outcome(
+            MeshConfig {
+                kernel,
+                shards,
+                threads: 1,
+                ..cfg.clone()
+            },
+            warmup,
+            measure,
+        );
+        assert_eq!(
+            lazy, oracle,
+            "{kernel:?} at {shards} shards diverged from the eager reference oracle"
+        );
     }
-    let sharded = MeshConfig {
-        shards: [2, 4][(cfg.seed % 2) as usize],
-        threads: 1,
-        ..cfg
-    };
-    assert_lazy_matches_eager(SimKernel::Sharded, &sharded, warmup, measure);
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! The sharded kernel is a parallelization, not a model change: for
 //! any configuration and seed it must produce **byte-identical**
-//! [`NetworkStats`] to the serial active-set kernel — every counter,
+//! [`NetworkStats`] to the serial active-set run (one tile) — every counter,
 //! every idle-interval histogram bin, every gating counter — for every
 //! shard count *and* every thread count. These tests pin that across
 //! the scenario matrix the issue names: `shards ∈ {1, 2, 4, 8}` ×
@@ -13,8 +13,8 @@ use leakage_noc::netsim::{
 };
 use proptest::prelude::*;
 
-/// Runs one config under the serial active-set kernel and under the
-/// sharded kernel at every requested shard count, asserting exact
+/// Runs one config under the serial active-set run (the sharded kernel
+/// on one tile) and at every requested shard count, asserting exact
 /// equality of statistics and conservation state.
 fn assert_sharded_matches_serial(
     cfg: MeshConfig,
@@ -23,7 +23,8 @@ fn assert_sharded_matches_serial(
     measure: u64,
 ) {
     let mut serial = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+        kernel: SimKernel::Sharded,
+        shards: 1,
         ..cfg.clone()
     });
     let expected = serial.run(warmup, measure);

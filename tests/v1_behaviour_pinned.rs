@@ -206,13 +206,14 @@ fn vcs_1_reproduces_pinned_baseline_stats() {
         ),
     ];
     for (label, cfg, warmup, measure, expected) in cases {
-        // Pinned against the v2 baseline; the ActiveSet kernel is
-        // pinned to Reference by the kernel-equivalence suite, so
+        // Pinned against the v2 baseline; the one-tile sharded kernel
+        // is pinned to Reference by the kernel-equivalence suite, so
         // checking both here closes the triangle.
-        for kernel in [SimKernel::Reference, SimKernel::ActiveSet] {
+        for kernel in [SimKernel::Reference, SimKernel::Sharded] {
             let got = digest(
                 MeshConfig {
                     kernel,
+                    shards: 1,
                     ..cfg.clone()
                 },
                 warmup,

@@ -5,8 +5,8 @@
 //! torus-stressing Tornado pattern at saturation.
 //!
 //! Conservation is asserted on **every cycle of every debug-build
-//! simulation**: the active-set kernel re-checks the invariant at the
-//! end of each cycle via a `debug_assert`, so the runs below verify it
+//! simulation**: the one-tile sharded kernel re-checks the invariant at
+//! the end of each cycle via a `debug_assert`, so the runs below verify it
 //! continuously; the explicit `check_credit_conservation` calls pin it
 //! at the observation points in release builds too.
 
@@ -45,7 +45,8 @@ proptest! {
                 policy: GatingPolicy::IdleThreshold(3),
                 wake_latency: 1,
             }),
-            kernel: SimKernel::ActiveSet,
+            kernel: SimKernel::Sharded,
+            shards: 1,
             ..MeshConfig::default()
         });
         // Two windows: the invariant must hold mid-stream (with worms
@@ -119,7 +120,8 @@ fn torus_tornado_saturation_16x16_acceptance() {
         ..MeshConfig::default()
     };
     let mut active = Simulation::new(MeshConfig {
-        kernel: SimKernel::ActiveSet,
+        kernel: SimKernel::Sharded,
+        shards: 1,
         ..cfg.clone()
     });
     let mut reference = Simulation::new(MeshConfig {
