@@ -48,10 +48,11 @@
 //! whose all-zero value is an empty router, so a million-router mesh
 //! is built and dropped without touching per-router memory; a
 //! [`Router`] is a borrowed view of one router's rows. Per-lane *state
-//! that every cycle must touch* — idle-run counters, the [`SleepFsm`]
-//! sleep controllers, and the [`GatingCounters`] — is owned by the
+//! that every cycle must touch* — idle-run counters and the [`SleepFsm`]
+//! sleep controllers, packed one `u32` per lane — is owned by the
 //! simulation as further SoA arrays and lent to [`Router::step`] as a
-//! [`PortLane`]. Gating is therefore per **VC lane**: an empty VC bank
+//! [`PortLane`], together with the [`GatingCounters`] the step adds
+//! into. Gating is therefore per **VC lane**: an empty VC bank
 //! can sleep while a sibling VC of the same port carries a worm.
 //!
 //! [`Router::step_fast`] performs no heap allocation — the hot loop of
@@ -401,9 +402,10 @@ pub struct PortLane<'a> {
     /// Consecutive idle cycles per output VC lane (the authoritative
     /// idle-run counters behind the idle-interval histograms).
     pub idle_run: &'a mut [u64],
-    /// Sleep controller per output VC lane.
-    pub fsm: &'a mut [SleepFsm],
-    /// This router's accumulated gating counters (all lanes summed).
+    /// Sleep controller per output VC lane, packed
+    /// ([`SleepFsm::pack`]; zero is a fresh controller).
+    pub fsm: &'a mut [u32],
+    /// Where this step's gating counts (all lanes summed) are added.
     pub counters: &'a mut GatingCounters,
     /// Out-parameter: length of the idle run that ended on each lane
     /// this cycle (0 if the lane stayed idle or was already busy).
@@ -655,9 +657,10 @@ impl Router<'_> {
     /// reports whether the output lane holds a credit (a free slot in
     /// the downstream VC buffer; the ejection port always sinks) —
     /// callers must evaluate it against cycle-start credit state so
-    /// results are independent of router iteration order. `ports` is this router's block of the simulation-owned
-    /// SoA lane state (idle runs, sleep FSMs, gating counters, and the
-    /// `idle_ended` out-slice).
+    /// results are independent of router iteration order. `ports` is
+    /// this router's block of the simulation-owned SoA lane state (idle
+    /// runs, packed sleep FSMs, the gating counters to add into, and
+    /// the `idle_ended` out-slice).
     ///
     /// Returns the flits that leave this cycle (at most one per output
     /// port) and the number of arbitrations performed.
@@ -776,9 +779,11 @@ impl Router<'_> {
                 // into backpressure.
                 let wants = candidate.is_some() && lane_ready(out, ovc);
 
+                let mut fsm = SleepFsm::default();
                 let can_transmit = if GATED {
                     let cfg = self.shape.sleep_cfg.expect("GATED implies a sleep config");
-                    ports.fsm[ol].gate(wants, cfg.wake_latency)
+                    fsm = SleepFsm::unpack(ports.fsm[ol]);
+                    fsm.gate(wants, cfg.wake_latency)
                 } else {
                     true
                 };
@@ -846,7 +851,8 @@ impl Router<'_> {
                     } else {
                         ports.idle_run[ol]
                     };
-                    ports.fsm[ol].settle(sent, stalled, wants_after, run, &cfg, ports.counters);
+                    fsm.settle(sent, stalled, wants_after, run, &cfg, ports.counters);
+                    ports.fsm[ol] = fsm.pack();
                 }
             }
             if let Some(wvc) = winner_vc {
@@ -898,7 +904,7 @@ mod tests {
     /// (the simulation owns these arrays network-wide).
     struct Ports {
         idle: Vec<u64>,
-        fsm: Vec<SleepFsm>,
+        fsm: Vec<u32>,
         counters: GatingCounters,
         idle_ended: Vec<u64>,
     }
@@ -907,7 +913,7 @@ mod tests {
         fn new(vcs: usize) -> Self {
             Ports {
                 idle: vec![0; 5 * vcs],
-                fsm: vec![SleepFsm::default(); 5 * vcs],
+                fsm: vec![0; 5 * vcs],
                 counters: GatingCounters::default(),
                 idle_ended: vec![0; 5 * vcs],
             }
@@ -1231,7 +1237,10 @@ mod tests {
         for _ in 0..4 {
             let _ = r.step(to(Direction::East), |_, _| true, p.lane());
         }
-        assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Asleep);
+        assert_eq!(
+            SleepFsm::unpack(p.fsm[Direction::East.index()]).state(),
+            SleepState::Asleep
+        );
 
         // A flit arrives; it must wait out exactly `wake` cycles.
         r.accept(Direction::West, flit(1, true, true));
@@ -1276,12 +1285,12 @@ mod tests {
         }
         let east = Direction::East.index() * 2;
         assert_eq!(
-            p.fsm[east].state(),
+            SleepFsm::unpack(p.fsm[east]).state(),
             SleepState::Active,
             "the worm's lane stays awake"
         );
         assert_eq!(
-            p.fsm[east + 1].state(),
+            SleepFsm::unpack(p.fsm[east + 1]).state(),
             SleepState::Asleep,
             "the empty sibling VC lane sleeps"
         );
@@ -1298,7 +1307,10 @@ mod tests {
             let _ = r.step(to(Direction::East), |_, _| true, p.lane());
         }
         assert_eq!(p.counters, GatingCounters::default());
-        assert_eq!(p.fsm[Direction::East.index()].state(), SleepState::Active);
+        assert_eq!(
+            SleepFsm::unpack(p.fsm[Direction::East.index()]).state(),
+            SleepState::Active
+        );
     }
 
     #[test]

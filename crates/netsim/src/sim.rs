@@ -20,7 +20,7 @@
 //!   rebuilt. The mesh is partitioned into full-width row bands
 //!   ([`crate::topology::TileMap`]); each band owns a contiguous slice
 //!   of every per-router SoA slab (router buffers and lane owners,
-//!   idle/FSM/gating lanes, credits, RNG streams, source queues) plus
+//!   idle-run and FSM lanes, credits, RNG streams, source queues) plus
 //!   its own worklist bitset, and bands step concurrently on worker
 //!   threads ([`MeshConfig::shards`] / [`MeshConfig::threads`]). One
 //!   tile is the serial worklist kernel: no mailboxes, one worker.
@@ -427,17 +427,19 @@ const PACKET_SEQ_BITS: u32 = 40;
 /// [`Flit::INVALID`] (`u64::MAX`) while `src < 2^24 − 1`, which
 /// [`Simulation::new`] guarantees by rejecting meshes of more than
 /// [`Simulation::MAX_ROUTERS`] routers.
+///
+/// # Panics
+///
+/// Panics once a source has used up its 2^40 sequence numbers: a larger
+/// `seq` would spill into the source bits and alias another source's
+/// ids.
 pub(crate) fn packet_id(src: usize, seq: u64) -> u64 {
     debug_assert!((src as u64) < (1 << (64 - PACKET_SEQ_BITS)) - 1);
-    debug_assert!(seq < (1 << PACKET_SEQ_BITS));
+    assert!(
+        seq < (1 << PACKET_SEQ_BITS),
+        "source {src} has used up its 2^{PACKET_SEQ_BITS} packet ids"
+    );
     ((src as u64) << PACKET_SEQ_BITS) | seq
-}
-
-/// Per-destination ejection progress, for on-the-fly validation of
-/// in-order, contiguous packet delivery.
-#[derive(Debug, Clone, Copy, Default)]
-struct EjectProgress {
-    current: Option<(u64, usize)>,
 }
 
 /// One flit crossing a link (or ejecting) this cycle, recorded during
@@ -501,15 +503,22 @@ pub struct Simulation {
     /// incrementally on departure (consume) and downstream pop
     /// (return).
     credits: Vec<u32>,
-    eject: Vec<EjectProgress>,
+    /// Per-destination ejection progress, for on-the-fly validation of
+    /// in-order, contiguous packet delivery (debug builds only):
+    /// `[packet id, flits seen]` of the packet being ejected, where
+    /// zero flits seen means none is — so the zero-allocated column is
+    /// every destination idle.
+    eject: Vec<[u64; 2]>,
 
     // ---- SoA per-lane state (indexed `router * 5V + port * V + vc`) ----
+    // Every column below is zero-allocated and zero means "fresh", so
+    // a router never touched costs no written memory. The in-loop
+    // gating counters have no column: steps and bulk settlements add
+    // straight into the measurement window's stats record.
     /// Consecutive idle cycles per output VC lane.
     idle_run: Vec<u64>,
-    /// Sleep FSM per output VC lane.
-    fsm: Vec<SleepFsm>,
-    /// Gating counters per router (all lanes summed).
-    counters: Vec<GatingCounters>,
+    /// Sleep FSM per output VC lane, packed ([`SleepFsm::pack`]).
+    fsm: Vec<u32>,
     /// Last cycle a (now quiescent) router was stepped or accounted
     /// through; the gap to the current cycle is its pending bulk-idle
     /// accounting.
@@ -594,8 +603,14 @@ struct ShardScratch {
     flits_dropped: u64,
     /// This tile's statistics for the current measurement window —
     /// tile-sized, locally indexed — merged into the run result in
-    /// ascending shard order via [`NetworkStats::merge_shard`].
+    /// ascending shard order via [`NetworkStats::merge_shard`]. Its
+    /// `gating` counters are the only copy: steps and bulk settlements
+    /// add into them directly.
     stats: Option<NetworkStats>,
+    /// Where gating counts go while no window is open (warmup): the
+    /// measurement boundary resets the gating state, so they are never
+    /// read.
+    gating_sink: GatingCounters,
     /// Event-kernel prediction state (`None` on every other kernel).
     events: Option<Box<EventState>>,
     /// Cycles the event kernel skipped outright (performance
@@ -610,8 +625,8 @@ struct ShardScratch {
     /// Measurement-boundary watermark of the current run. `Some(w)`
     /// means the window opened at cycle `w` under *deferred
     /// settlement*: routers whose `last_stepped ≤ w` and whose active
-    /// bit is clear still owe the boundary reset of their idle runs,
-    /// sleep FSMs and gating counters (their *settlement debt*), paid
+    /// bit is clear still owe the boundary reset of their idle runs and
+    /// sleep FSMs (their *settlement debt*), paid
     /// on first touch ([`ShardView::activate`]), at close-out
     /// ([`ShardView::close_run`]) or when an abort freezes the run.
     /// `None` during warmup and on the reference kernel.
@@ -698,10 +713,9 @@ struct ShardView<'a> {
     rngs: &'a mut [StdRng],
     next_seq: &'a mut [u64],
     credits: &'a mut [u32],
-    eject: &'a mut [EjectProgress],
+    eject: &'a mut [[u64; 2]],
     idle_run: &'a mut [u64],
-    fsm: &'a mut [SleepFsm],
-    counters: &'a mut [GatingCounters],
+    fsm: &'a mut [u32],
     last_stepped: &'a mut [u64],
 }
 
@@ -780,8 +794,10 @@ impl Simulation {
     /// [`Simulation::MAX_ROUTERS`] routers, zero-length packets, zero
     /// buffers, a VC count outside `1..=`[`MAX_VCS`], a zero
     /// source-queue cap, an [`GatingPolicy::Oracle`] in-loop policy —
-    /// the oracle needs future knowledge and only exists offline — or
-    /// a bursty process with zero mean dwell times).
+    /// the oracle needs future knowledge and only exists offline — a
+    /// wake latency above [`SleepFsm::MAX_WAKE_LATENCY`], which a
+    /// packed sleep-FSM lane cannot count down, or a bursty process
+    /// with zero mean dwell times).
     pub fn new(cfg: MeshConfig) -> Self {
         assert!(
             cfg.width >= 2 && cfg.height >= 2,
@@ -814,6 +830,12 @@ impl Simulation {
             assert!(
                 gating.policy != GatingPolicy::Oracle,
                 "the Oracle policy needs future knowledge; it exists only offline"
+            );
+            assert!(
+                gating.wake_latency <= SleepFsm::MAX_WAKE_LATENCY,
+                "wake latency {} exceeds the {} cycles a sleep-FSM lane can count down",
+                gating.wake_latency,
+                SleepFsm::MAX_WAKE_LATENCY
             );
         }
         if let InjectionProcess::BurstyOnOff {
@@ -912,6 +934,7 @@ impl Simulation {
                     epoch: 0,
                     flits_dropped: 0,
                     stats: None,
+                    gating_sink: GatingCounters::default(),
                     events: None,
                     cycles_leapt: 0,
                     events_processed: 0,
@@ -948,10 +971,9 @@ impl Simulation {
             cycle: 0,
             visit_reversed: false,
             credits,
-            eject: vec![EjectProgress::default(); n],
+            eject: vec![[0; 2]; n],
             idle_run: vec![0; n * lanes],
-            fsm: vec![SleepFsm::default(); n * lanes],
-            counters: vec![GatingCounters::default(); n],
+            fsm: vec![0; n * lanes],
             last_stepped: vec![0; n],
             neighbors: NeighborTable::new(&mesh),
             xy: (0..n)
@@ -1254,7 +1276,6 @@ impl Simulation {
                 eject,
                 idle_run,
                 fsm,
-                counters,
                 last_stepped,
                 neighbors,
                 routes,
@@ -1303,7 +1324,6 @@ impl Simulation {
                 let mut eject = eject.as_mut_slice();
                 let mut idle_run = idle_run.as_mut_slice();
                 let mut fsm = fsm.as_mut_slice();
-                let mut counters = counters.as_mut_slice();
                 let mut last_stepped = last_stepped.as_mut_slice();
                 macro_rules! take {
                     ($rest:ident, $n:expr) => {{
@@ -1327,7 +1347,6 @@ impl Simulation {
                         eject: take!(eject, len),
                         idle_run: take!(idle_run, len * lanes),
                         fsm: take!(fsm, len * lanes),
-                        counters: take!(counters, len),
                         last_stepped: take!(last_stepped, len),
                         scratch: sc,
                     });
@@ -1378,11 +1397,9 @@ impl Simulation {
                         if last_stepped[rid] > w {
                             continue;
                         }
-                        idle_run[rid * lanes..(rid + 1) * lanes].fill(0);
-                        for f in &mut fsm[rid * lanes..(rid + 1) * lanes] {
-                            f.reset();
-                        }
-                        counters[rid] = GatingCounters::default();
+                        let own = rid * lanes..(rid + 1) * lanes;
+                        fill_changed(&mut idle_run[own.clone()], 0);
+                        fill_changed(&mut fsm[own], 0);
                         last_stepped[rid] = w;
                         sc.routers_settled += 1;
                     }
@@ -1627,6 +1644,31 @@ fn path_diverges(
     false
 }
 
+/// The counters a router's gating counts are added into: its entry in
+/// the window's stats record, or the tile's sink while no window is
+/// open.
+fn gating_counters<'s>(
+    stats: &'s mut Option<NetworkStats>,
+    sink: &'s mut GatingCounters,
+    lr: usize,
+) -> &'s mut GatingCounters {
+    match stats {
+        Some(s) => &mut s.gating[lr],
+        None => sink,
+    }
+}
+
+/// Sets every lane of `lanes` to `value`, writing only the lanes that
+/// differ: a zero-allocated page that already holds `value` is never
+/// written, so it stays unmapped.
+fn fill_changed<T: Copy + PartialEq>(lanes: &mut [T], value: T) {
+    for lane in lanes {
+        if *lane != value {
+            *lane = value;
+        }
+    }
+}
+
 impl ShardView<'_> {
     /// Whether global router `rid` belongs to this tile.
     fn contains(&self, rid: usize) -> bool {
@@ -1659,10 +1701,7 @@ impl ShardView<'_> {
         } else {
             self.last_stepped.fill(boundary_cycle);
             self.idle_run.fill(0);
-            for f in self.fsm.iter_mut() {
-                f.reset();
-            }
-            self.counters.fill(GatingCounters::default());
+            self.fsm.fill(0);
         }
         // The reset re-arms threshold sleeping (`slept_this_interval`
         // clears); quiescent routers need no reactivation — their walk
@@ -1788,8 +1827,8 @@ impl ShardView<'_> {
         true
     }
 
-    /// End of run: settle all quiescent routers up to the final cycle,
-    /// close out open idle runs and collect gating counters. Under
+    /// End of run: settle all quiescent routers up to the final cycle
+    /// and close out open idle runs. Under
     /// deferred settlement this is the once-per-run walk that pays
     /// every remaining debtor ([`ShardView::close_run_deferred`]).
     fn close_run(&mut self, ctx: &RunCtx<'_>, end_cycle: u64) {
@@ -1809,11 +1848,9 @@ impl ShardView<'_> {
         }
         if let Some(s) = stats.as_mut() {
             s.measured_cycles = ctx.measure;
-            s.idle_histogram.reserve_open(self.idle_run.len());
             for run in self.idle_run.iter_mut() {
                 s.idle_histogram.record_open(std::mem::take(run));
             }
-            s.gating.copy_from_slice(self.counters);
         }
         self.scratch.stats = stats;
     }
@@ -1825,19 +1862,21 @@ impl ShardView<'_> {
     /// compute per router — boundary reset, one `account_skipped` over
     /// the span — is computed **once** into a template (FSM end state,
     /// gating counters, arbitration count) and copied into each
-    /// debtor's slabs. Open runs go straight into the tile's one idle
-    /// histogram in router order, lanes ascending: a debtor's lanes
-    /// each record the full `span`, a touched router's lanes their own
-    /// idle runs — the order the eager path records them in.
+    /// debtor's FSM lanes and stats. Open runs go straight into the
+    /// tile's one idle histogram in router order, lanes ascending: a
+    /// debtor's lanes each record the full `span`, a touched router's
+    /// lanes their own idle runs — the order the eager path records
+    /// them in. Only lanes that change are written, so a debtor that
+    /// was never touched at all keeps its idle-run pages unwritten.
     fn close_run_deferred(&mut self, ctx: &RunCtx<'_>, end_cycle: u64, w: u64) {
         let mut stats = self.scratch.stats.take();
         let lanes = ctx.lanes;
         let span = end_cycle - w;
         // Template: the state a full-window debtor ends the run in.
         // Replays account_skipped's gated branch lane by lane so the
-        // shared per-router counters accumulate exactly as the eager
-        // path's would (lane order is immaterial — every lane is
-        // identical — but the *count* of settles is not).
+        // per-router counters accumulate exactly as the eager path's
+        // would (lane order is immaterial — every lane is identical —
+        // but the *count* of settles is not).
         let mut tmpl_fsm = SleepFsm::default();
         let mut tmpl_counters = GatingCounters::default();
         let mut tmpl_arbs = 0u64;
@@ -1854,18 +1893,15 @@ impl ShardView<'_> {
                 }
             }
         }
-        if let Some(s) = stats.as_mut() {
-            s.idle_histogram.reserve_open(self.idle_run.len());
-        }
+        let tmpl_fsm = tmpl_fsm.pack();
         let mut debtors = 0u64;
         for lr in 0..self.len {
             let active = self.scratch.active.contains(lr);
             if !active && self.last_stepped[lr] <= w {
-                // Debtor: stale warmup slabs become the template.
+                // Debtor: stale warmup lanes become the template.
                 let base = lr * lanes;
-                self.idle_run[base..base + lanes].fill(0);
-                self.fsm[base..base + lanes].fill(tmpl_fsm);
-                self.counters[lr] = tmpl_counters;
+                fill_changed(&mut self.idle_run[base..base + lanes], 0);
+                fill_changed(&mut self.fsm[base..base + lanes], tmpl_fsm);
                 self.last_stepped[lr] = end_cycle;
                 debtors += 1;
                 if let Some(s) = stats.as_mut() {
@@ -1888,7 +1924,6 @@ impl ShardView<'_> {
                 for run in &mut self.idle_run[lr * lanes..(lr + 1) * lanes] {
                     s.idle_histogram.record_open(std::mem::take(run));
                 }
-                s.gating[lr] = self.counters[lr];
             }
         }
         self.scratch.routers_settled += debtors;
@@ -2005,10 +2040,9 @@ impl ShardView<'_> {
             }
             // A doomed packet mid-ejection never completes; forget its
             // progress so the validator expects a fresh head next.
-            if let Some((pid, _)) = self.eject[lr].current {
-                if is_doomed(pid) {
-                    self.eject[lr].current = None;
-                }
+            let [pid, seen] = self.eject[lr];
+            if seen > 0 && is_doomed(pid) {
+                self.eject[lr] = [0; 2];
             }
         }
         // Packet-level accounting: each doomed packet is counted once,
@@ -2537,7 +2571,6 @@ impl ShardView<'_> {
             credits,
             idle_run,
             fsm,
-            counters,
             last_stepped,
             ..
         } = self;
@@ -2546,6 +2579,7 @@ impl ShardView<'_> {
             transfers,
             idle_ended,
             routers_stepped,
+            gating_sink,
             ..
         } = &mut **scratch;
         let at = |rid: usize| {
@@ -2604,7 +2638,7 @@ impl ShardView<'_> {
             let lane = PortLane {
                 idle_run: &mut idle_run[lane_base..lane_base + lanes],
                 fsm: &mut fsm[lane_base..lane_base + lanes],
-                counters: &mut counters[lr],
+                counters: gating_counters(stats, gating_sink, lr),
                 idle_ended,
             };
             let mut departed = 0u64;
@@ -2758,18 +2792,16 @@ impl ShardView<'_> {
         self.scratch.outgoing[k].push(msg);
     }
 
-    /// Resets one router's gating slabs to their measurement-boundary
-    /// state: idle runs cleared, every lane FSM re-armed
-    /// ([`SleepFsm::reset`]), gating counters zeroed. The shared tail
-    /// of both the eager boundary fill and lazy debt payment.
+    /// Resets one router's gating lanes to their measurement-boundary
+    /// state: idle runs cleared, every lane FSM re-armed (packed zero).
+    /// Its gating counters need no reset: they live in the window's
+    /// fresh stats record. The shared tail of both the eager boundary
+    /// fill and lazy debt payment.
     fn reset_router_gating(&mut self, ctx: &RunCtx<'_>, lr: usize) {
         let lanes = ctx.lanes;
         let base = lr * lanes;
         self.idle_run[base..base + lanes].fill(0);
-        for f in &mut self.fsm[base..base + lanes] {
-            f.reset();
-        }
-        self.counters[lr] = GatingCounters::default();
+        self.fsm[base..base + lanes].fill(0);
     }
 
     /// Pays one router's settlement debt: replays the measurement
@@ -2842,15 +2874,17 @@ impl ShardView<'_> {
             }
             Some(cfg) => {
                 let th = cfg.threshold();
-                let counters = &mut self.counters[lr];
+                let counters = gating_counters(stats, &mut self.scratch.gating_sink, lr);
                 let mut arbitrations = 0;
-                for (run, fsm) in self.idle_run[base..base + lanes]
+                for (run, word) in self.idle_run[base..base + lanes]
                     .iter_mut()
                     .zip(&mut self.fsm[base..base + lanes])
                 {
                     let before = *run;
                     *run += skipped;
+                    let mut fsm = SleepFsm::unpack(*word);
                     arbitrations += fsm.settle_idle_bulk(skipped, before, th, counters);
+                    *word = fsm.pack();
                 }
                 arbitrations
             }
@@ -2943,8 +2977,8 @@ impl ShardView<'_> {
     fn validate_ejection(&mut self, ctx: &RunCtx<'_>, rid: usize, flit: &Flit) {
         assert_eq!(flit.dst, rid, "flit ejected at the wrong router");
         let progress = &mut self.eject[rid - self.base];
-        match progress.current {
-            None => {
+        match *progress {
+            [_, 0] => {
                 assert!(
                     flit.is_head,
                     "packet {} ejected body flit before its head at router {rid}",
@@ -2953,10 +2987,10 @@ impl ShardView<'_> {
                 if flit.is_tail {
                     assert_eq!(ctx.cfg.packet_len_flits, 1);
                 } else {
-                    progress.current = Some((flit.packet_id, 1));
+                    *progress = [flit.packet_id, 1];
                 }
             }
-            Some((pkt, seen)) => {
+            [pkt, seen] => {
                 assert_eq!(
                     flit.packet_id, pkt,
                     "packet interleaving at router {rid} ejection port"
@@ -2965,12 +2999,12 @@ impl ShardView<'_> {
                 let seen = seen + 1;
                 if flit.is_tail {
                     assert_eq!(
-                        seen, ctx.cfg.packet_len_flits,
+                        seen, ctx.cfg.packet_len_flits as u64,
                         "packet {pkt} delivered with the wrong flit count"
                     );
-                    progress.current = None;
+                    *progress = [0; 2];
                 } else {
-                    progress.current = Some((pkt, seen));
+                    *progress = [pkt, seen];
                 }
             }
         }
@@ -3153,6 +3187,12 @@ mod tests {
         let light = light_sim.run(300, 2000).crossbar_utilization();
         let heavy = heavy_sim.run(300, 2000).crossbar_utilization();
         assert!(heavy > 2.0 * light, "light {light}, heavy {heavy}");
+    }
+
+    #[test]
+    #[should_panic(expected = "used up its 2^40 packet ids")]
+    fn packet_id_rejects_a_sequence_past_its_bits() {
+        packet_id(0, 1 << 40);
     }
 
     #[test]

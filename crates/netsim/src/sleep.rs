@@ -34,6 +34,14 @@
 //!   carries the switching overhead);
 //! * a port sleeps at most once per idle interval — after a wake it
 //!   stays powered until the pending flit departs.
+//!
+//! Storage: the simulator keeps one controller per lane, for every lane
+//! of every router, so it stores them packed — one `u32` per lane
+//! ([`SleepFsm::pack`] / [`SleepFsm::unpack`]) — and unpacks a lane only
+//! to step or settle it. The packed zero is `SleepFsm::default()`
+//! (`Active`, not slept this interval), so a zero-allocated lane column
+//! is a network of fresh controllers whose pages are never written
+//! until a lane is first touched.
 
 use lnoc_power::gating::{GatingCounters, GatingPolicy};
 use serde::{Deserialize, Serialize};
@@ -83,6 +91,9 @@ pub enum SleepState {
 }
 
 /// One port's sleep controller.
+///
+/// Lanes store it packed in a `u32` ([`SleepFsm::pack`]); the packed
+/// zero is the default controller — `Active`, not slept this interval.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SleepFsm {
     state: SleepState,
@@ -93,6 +104,46 @@ pub struct SleepFsm {
 }
 
 impl SleepFsm {
+    /// Largest `Waking` countdown — and so the largest
+    /// [`SleepConfig::wake_latency`] — a packed lane holds: the
+    /// countdown sits in the 29 bits above the state tag and the
+    /// slept-this-interval flag.
+    pub const MAX_WAKE_LATENCY: u32 = u32::MAX >> 3;
+
+    /// Packs the controller into one lane word: bits 0–1 the state
+    /// (`Active` 0, `DrowsyCountdown` 1, `Asleep` 2, `Waking` 3), bit 2
+    /// the slept-this-interval flag, bits 3–31 the `Waking` countdown.
+    /// The default controller packs to 0.
+    pub fn pack(self) -> u32 {
+        let (tag, remaining) = match self.state {
+            SleepState::Active => (0, 0),
+            SleepState::DrowsyCountdown => (1, 0),
+            SleepState::Asleep => (2, 0),
+            SleepState::Waking { remaining } => (3, remaining),
+        };
+        debug_assert!(
+            remaining <= Self::MAX_WAKE_LATENCY,
+            "wake countdown overflows its lane"
+        );
+        tag | (self.slept_this_interval as u32) << 2 | remaining << 3
+    }
+
+    /// The controller a lane word packed by [`SleepFsm::pack`] holds.
+    pub fn unpack(word: u32) -> SleepFsm {
+        let state = match word & 3 {
+            0 => SleepState::Active,
+            1 => SleepState::DrowsyCountdown,
+            2 => SleepState::Asleep,
+            _ => SleepState::Waking {
+                remaining: word >> 3,
+            },
+        };
+        SleepFsm {
+            state,
+            slept_this_interval: word & 4 != 0,
+        }
+    }
+
     /// Current state (for diagnostics and tests).
     pub fn state(&self) -> SleepState {
         self.state
@@ -206,14 +257,6 @@ impl SleepFsm {
                 }
             }
         }
-    }
-
-    /// Forces the controller back to `Active` and clears interval
-    /// state — used when the measurement window opens so in-loop
-    /// accounting and the (also reset) idle histograms see the same
-    /// intervals.
-    pub fn reset(&mut self) {
-        *self = SleepFsm::default();
     }
 
     /// Whether this controller's future under continued idleness is a
@@ -499,6 +542,30 @@ mod tests {
         f.gate(true, c.wake_latency);
         assert!(matches!(f.state(), SleepState::Waking { .. }));
         assert!(!f.idle_predictable());
+    }
+
+    #[test]
+    fn packing_round_trips_every_state() {
+        assert_eq!(SleepFsm::default().pack(), 0);
+        assert_eq!(SleepFsm::unpack(0), SleepFsm::default());
+        let states = [
+            SleepState::Active,
+            SleepState::DrowsyCountdown,
+            SleepState::Asleep,
+            SleepState::Waking { remaining: 1 },
+            SleepState::Waking {
+                remaining: SleepFsm::MAX_WAKE_LATENCY,
+            },
+        ];
+        for state in states {
+            for slept_this_interval in [false, true] {
+                let f = SleepFsm {
+                    state,
+                    slept_this_interval,
+                };
+                assert_eq!(SleepFsm::unpack(f.pack()), f);
+            }
+        }
     }
 
     #[test]

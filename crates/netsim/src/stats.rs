@@ -59,10 +59,15 @@ pub struct NetworkStats {
     /// close-out appends each lane's trailing open interval in router
     /// order, lanes ascending within a router (`port * vcs + vc`, ports
     /// in [`crate::topology::Direction`] order), so the open runs'
-    /// order is the same for every kernel and shard geometry.
+    /// order is the same for every kernel and shard geometry. They are
+    /// stored run-length — the lanes of routers left idle through the
+    /// whole window share one entry — and
+    /// [`IdleHistogram::open_runs`] yields them one per lane in that
+    /// order.
     pub idle_histogram: IdleHistogram,
     /// Per-router in-loop gating counters (all output VC lanes
-    /// summed); all-zero when the run was ungated.
+    /// summed); all-zero when the run was ungated. The simulation adds
+    /// into these directly — it keeps no copy of its own.
     pub gating: Vec<GatingCounters>,
 }
 
@@ -273,7 +278,7 @@ mod tests {
         assert_eq!(merged, s.idle_histogram);
         assert_eq!(merged.interval_count(), 6);
         assert_eq!(merged.total_idle_cycles(), 5060);
-        assert_eq!(merged.open_runs(), &[40, 3]);
+        assert_eq!(merged.open_runs().copied().collect::<Vec<_>>(), [40, 3]);
     }
 
     #[test]
@@ -299,7 +304,7 @@ mod tests {
             assert_eq!(other.interval_count(), 418);
             assert_eq!(other.total_idle_cycles(), same.total_idle_cycles());
             assert_eq!(other.total_idle_cycles(), 2000 + 18 + 630 + 3000 + 201 + 77);
-            assert_eq!(other.open_runs(), &[77]);
+            assert_eq!(other.open_runs().copied().collect::<Vec<_>>(), [77]);
         }
         // 3201 / 5 = 640.2: four intervals at 640, one at 641.
         let wide: Vec<_> = s.merged_idle_histogram(2048).iter_lengths().collect();
@@ -381,8 +386,12 @@ mod tests {
             ascending.merge_shard(t, base);
         }
         assert_eq!(
-            ascending.idle_histogram.open_runs(),
-            &[11, 12, 14, 15, 21, 22, 23, 24, 25, 31]
+            ascending
+                .idle_histogram
+                .open_runs()
+                .copied()
+                .collect::<Vec<_>>(),
+            [11, 12, 14, 15, 21, 22, 23, 24, 25, 31]
         );
         let mut descending = NetworkStats::new(3, 1, 64);
         for (base, t) in tiles.iter().enumerate().rev() {

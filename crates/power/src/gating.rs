@@ -87,9 +87,13 @@ impl fmt::Display for GatingPolicy {
 /// The exact bins **grow on demand**: a histogram holds bins only up to
 /// the longest exact length it has recorded, never `cap` of them up
 /// front, so memory and merge cost follow what was recorded rather
-/// than the cap. Equality compares *contents*: the
-/// bins end at the longest recorded length whatever order the
-/// intervals arrived in, so equal contents have equal bins.
+/// than the cap. Open intervals are stored **run-length**: consecutive
+/// equal lengths share one `(length, count)` entry, so a million lanes
+/// left idle through the same span cost one entry, not a million.
+/// Equality compares *contents*: the bins end at the longest recorded
+/// length whatever order the intervals arrived in, and the run-length
+/// form is canonical (neighbouring entries differ in length), so equal
+/// contents — open runs in the same order — compare equal.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IdleHistogram {
     /// Configured cap: lengths `< cap` are binned exactly.
@@ -102,7 +106,10 @@ pub struct IdleHistogram {
     overflow_n: u64,
     /// Total length of the overflow intervals.
     overflow_len_sum: u64,
-    open_runs: Vec<u64>,
+    /// Open intervals in record order, run-length encoded as
+    /// `(length, count)`: every count is at least 1 and neighbouring
+    /// entries differ in length.
+    open_runs: Vec<(u64, u64)>,
 }
 
 impl IdleHistogram {
@@ -157,19 +164,22 @@ impl IdleHistogram {
         if len == 0 {
             return;
         }
-        self.open_runs.push(len);
+        self.push_open(len, 1);
     }
 
-    /// Reserves room for exactly `additional` more open intervals, so
-    /// a close-out that knows its bound records them without the
-    /// amortized growth's spare capacity.
-    pub fn reserve_open(&mut self, additional: usize) {
-        self.open_runs.reserve_exact(additional);
+    /// Appends `count` open intervals of `len` cycles, extending the
+    /// last run-length entry when it has the same length.
+    fn push_open(&mut self, len: u64, count: u64) {
+        match self.open_runs.last_mut() {
+            Some((last, n)) if *last == len => *n += count,
+            _ => self.open_runs.push((len, count)),
+        }
     }
 
     /// Number of recorded intervals (closed + open).
     pub fn interval_count(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.overflow_n + self.open_runs.len() as u64
+        let open: u64 = self.open_runs.iter().map(|&(_, n)| n).sum();
+        self.counts.iter().sum::<u64>() + self.overflow_n + open
     }
 
     /// Total idle cycles across all intervals (closed + open).
@@ -180,7 +190,8 @@ impl IdleHistogram {
             .enumerate()
             .map(|(len, &n)| len as u64 * n)
             .sum();
-        in_bins + self.overflow_len_sum + self.open_runs.iter().sum::<u64>()
+        let open: u64 = self.open_runs.iter().map(|&(len, n)| len * n).sum();
+        in_bins + self.overflow_len_sum + open
     }
 
     /// Iterates `(interval_length, count)` pairs of the *closed*
@@ -201,9 +212,12 @@ impl IdleHistogram {
     }
 
     /// Lengths of the intervals that were still open at the end of the
-    /// measurement window.
-    pub fn open_runs(&self) -> &[u64] {
-        &self.open_runs
+    /// measurement window, one item per interval in record order
+    /// (expanded from the run-length storage).
+    pub fn open_runs(&self) -> impl Iterator<Item = &u64> + '_ {
+        self.open_runs
+            .iter()
+            .flat_map(|(len, n)| std::iter::repeat_n(len, *n as usize))
     }
 
     /// Merges another histogram of the same cap into this one, bin by
@@ -223,7 +237,9 @@ impl IdleHistogram {
         }
         self.overflow_n += other.overflow_n;
         self.overflow_len_sum += other.overflow_len_sum;
-        self.open_runs.extend_from_slice(&other.open_runs);
+        for &(len, n) in &other.open_runs {
+            self.push_open(len, n);
+        }
     }
 
     /// Merges another histogram whose cap may differ, preserving
@@ -245,8 +261,8 @@ impl IdleHistogram {
             self.record_n(avg, overflow_n - rem);
             self.record_n(avg + 1, rem);
         }
-        for &len in &other.open_runs {
-            self.record_open(len);
+        for &(len, n) in &other.open_runs {
+            self.push_open(len, n);
         }
     }
 }
@@ -279,6 +295,9 @@ impl GatingOutcome {
 /// Closed intervals that sleep pay a wake penalty of
 /// `wake_latency_cycles`; open intervals (still idle when the window
 /// closed) sleep by the same rule but never wake, so they pay none.
+/// Open intervals are added one at a time in record order, whatever
+/// their run-length storage, so the floating-point sums do not depend
+/// on how the intervals were stored.
 pub fn evaluate_policy(
     hist: &IdleHistogram,
     params: &GatingParams,
@@ -310,7 +329,7 @@ pub fn evaluate_policy(
     };
 
     let closed = hist.iter_lengths().map(|(len, count)| (len, count, true));
-    let open = hist.open_runs().iter().map(|&len| (len, 1, false));
+    let open = hist.open_runs().map(|&len| (len, 1, false));
     for (len, count, wakes) in closed.chain(open) {
         let n = count as f64;
         energy_never += n * len as f64 * t_cycle * p_idle;
@@ -606,7 +625,27 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.interval_count(), 2);
         assert_eq!(a.total_idle_cycles(), 9);
-        assert_eq!(a.open_runs(), &[7]);
+        assert_eq!(a.open_runs().copied().collect::<Vec<_>>(), [7]);
+    }
+
+    #[test]
+    fn equal_open_runs_share_one_entry() {
+        let mut h = IdleHistogram::new(64);
+        for _ in 0..1_000_000 {
+            h.record_open(20_000);
+        }
+        assert_eq!(h.open_runs.len(), 1);
+        assert_eq!(h.open_runs().count(), 1_000_000);
+        assert_eq!(h.interval_count(), 1_000_000);
+        assert_eq!(h.total_idle_cycles(), 20_000 * 1_000_000);
+        // A different length opens a second entry; merging a histogram
+        // that starts with the same length extends it again.
+        h.record_open(3);
+        let mut tail = IdleHistogram::new(64);
+        tail.record_open(3);
+        tail.record_open(20_000);
+        h.merge(&tail);
+        assert_eq!(h.open_runs, [(20_000, 1_000_000), (3, 2), (20_000, 1)]);
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Property test: the grow-on-demand [`IdleHistogram`] against a dense
-//! reference model that allocates every bin up front.
+//! reference model that allocates every bin up front and keeps the open
+//! runs as a plain list.
 //!
 //! Random sequences of `record_n`, `record_open`, `merge` and
 //! `merge_rebinned` (across caps) run on both; after every sequence the
 //! two must agree on `==`, `iter_lengths`, `interval_count`,
-//! `total_idle_cycles` and the open runs. Lengths are biased toward the
-//! cap edges (0, `cap − 1`, `cap`, `cap + 1`), where exact bins end and
-//! the overflow bin begins.
+//! `total_idle_cycles`, the open runs in record order (expanded from
+//! the histogram's run-length storage) and, bit for bit, the
+//! [`evaluate_policy`] outcome of every policy. Lengths are biased
+//! toward the cap edges (0, `cap − 1`, `cap`, `cap + 1`), where exact
+//! bins end and the overflow bin begins, and open runs are often
+//! recorded several times in a row, so run-length entries grow, split
+//! and join across merges.
 
-use lnoc_power::gating::IdleHistogram;
+use lnoc_power::gating::{
+    evaluate_policy, GatingOutcome, GatingParams, GatingPolicy, IdleHistogram,
+};
+use lnoc_tech::units::{Hertz, Joules, Watts};
 use proptest::prelude::*;
 
 /// Caps the properties draw from: degenerate, tiny, odd and the
@@ -102,6 +110,49 @@ impl Dense {
         exact + self.overflow_len_sum + self.open.iter().sum::<u64>()
     }
 
+    /// [`evaluate_policy`]'s documented arithmetic over the model:
+    /// closed intervals length by length (the overflow bin at its
+    /// average), then every open run on its own, in record order.
+    fn evaluate(&self, params: &GatingParams, policy: GatingPolicy, clock: Hertz) -> GatingOutcome {
+        let t_cycle = 1.0 / clock.0;
+        let (p_idle, p_standby) = (params.p_idle_awake.0, params.p_standby.0);
+        let breakeven = params.min_idle_cycles(clock) as u64;
+        let mut out = GatingOutcome {
+            energy_never: Joules(0.0),
+            energy_policy: Joules(0.0),
+            sleep_events: 0,
+            wake_penalty_cycles: 0,
+        };
+        let closed = self.lengths().into_iter().map(|(len, n)| (len, n, true));
+        let open = self.open.iter().map(|&len| (len, 1, false));
+        for (len, count, wakes) in closed.chain(open) {
+            let n = count as f64;
+            out.energy_never.0 += n * len as f64 * t_cycle * p_idle;
+            let sleep_at = match policy {
+                GatingPolicy::Never => None,
+                GatingPolicy::Immediate => Some(0),
+                GatingPolicy::IdleThreshold(th) => (len >= th as u64).then_some(th as u64),
+                GatingPolicy::Oracle => (len >= breakeven.max(1)).then_some(0),
+            };
+            match sleep_at {
+                None => out.energy_policy.0 += n * len as f64 * t_cycle * p_idle,
+                Some(s) => {
+                    let awake = s.min(len) as f64;
+                    let slept = (len - s.min(len)) as f64;
+                    out.energy_policy.0 += n
+                        * (awake * t_cycle * p_idle
+                            + slept * t_cycle * p_standby
+                            + params.e_transition.0);
+                    out.sleep_events += count;
+                    if wakes {
+                        out.wake_penalty_cycles += count * params.wake_latency_cycles as u64;
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// The same content rebuilt into a sparse histogram, longest bin
     /// first — a different growth order than any recorded sequence.
     fn to_sparse(&self) -> IdleHistogram {
@@ -157,8 +208,35 @@ fn agree(p: &Pair) -> Result<(), TestCaseError> {
     prop_assert_eq!(s.iter_lengths().collect::<Vec<_>>(), d.lengths());
     prop_assert_eq!(s.interval_count(), d.interval_count());
     prop_assert_eq!(s.total_idle_cycles(), d.total_idle_cycles());
-    prop_assert_eq!(s.open_runs(), d.open.as_slice());
+    prop_assert_eq!(s.open_runs().copied().collect::<Vec<_>>(), d.open.clone());
     prop_assert_eq!(s, &d.to_sparse());
+    // Paper-scale lane parameters: a 3-cycle breakeven at 3 GHz.
+    let params = GatingParams {
+        p_idle_awake: Watts(10.0e-6),
+        p_standby: Watts(1.0e-6),
+        e_transition: Joules(9.0e-15),
+        wake_latency_cycles: 2,
+    };
+    let clock = Hertz(3.0e9);
+    let cap = d.cap as u32;
+    for policy in [
+        GatingPolicy::Never,
+        GatingPolicy::Immediate,
+        GatingPolicy::IdleThreshold(2),
+        GatingPolicy::IdleThreshold(cap),
+        GatingPolicy::IdleThreshold(cap + 1),
+        GatingPolicy::Oracle,
+    ] {
+        let got = evaluate_policy(s, &params, policy, clock);
+        let want = d.evaluate(&params, policy, clock);
+        prop_assert_eq!(got.energy_never.0.to_bits(), want.energy_never.0.to_bits());
+        prop_assert_eq!(
+            got.energy_policy.0.to_bits(),
+            want.energy_policy.0.to_bits()
+        );
+        prop_assert_eq!(got.sleep_events, want.sleep_events);
+        prop_assert_eq!(got.wake_penalty_cycles, want.wake_penalty_cycles);
+    }
     Ok(())
 }
 
@@ -188,9 +266,13 @@ proptest! {
                     acc[which].dense.record_n(len, count);
                 }
                 2 => {
+                    // Often the same length several times in a row:
+                    // one run-length entry, grown in place.
                     let len = length(arg, cap);
-                    acc[which].sparse.record_open(len);
-                    acc[which].dense.record_open(len);
+                    for _ in 0..1 + (arg >> 40) % 4 {
+                        acc[which].sparse.record_open(len);
+                        acc[which].dense.record_open(len);
+                    }
                 }
                 3 => {
                     let from = acc[1 - which].clone();
@@ -202,6 +284,10 @@ proptest! {
                     let count = 1 + (arg >> 40) % 3;
                     other.sparse.record_n(len, count);
                     other.dense.record_n(len, count);
+                    if arg >> 50 & 1 == 1 {
+                        other.sparse.record_open(len);
+                        other.dense.record_open(len);
+                    }
                     acc[which].sparse.merge_rebinned(&other.sparse);
                     acc[which].dense.merge_rebinned(&other.dense);
                 }

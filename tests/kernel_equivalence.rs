@@ -445,7 +445,7 @@ fn zero_injection_quiesces_the_whole_network() {
         let merged = stats.merged_idle_histogram(NetworkStats::DEFAULT_IDLE_BINS);
         assert_eq!(merged.total_idle_cycles(), measure * n * lanes);
         assert_eq!(merged.interval_count(), n * lanes);
-        assert_eq!(merged.open_runs().len(), (n * lanes) as usize);
+        assert_eq!(merged.open_runs().count(), (n * lanes) as usize);
         // Activity bulk accounting is exact too: every router saw every
         // cycle, and every free lane arbitrated every cycle.
         for a in &stats.router_activity {

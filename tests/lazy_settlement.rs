@@ -16,7 +16,13 @@
 //!   mid-measurement, **and** the post-abort engine state: a second
 //!   run from the aborted state must also produce identical stats,
 //!   which a debtor router can only satisfy by settling a *partial*
-//!   span at the abort boundary.
+//!   span at the abort boundary;
+//! * the state a *completed* run's close-out leaves behind: follow-up
+//!   runs with a nonzero warmup step the network on it before their
+//!   own measurement boundary resets the gating lanes, so a debtor
+//!   whose close-out skipped its FSM template or left a stale idle run
+//!   — or gating counts that leak from warmup into the window — changes
+//!   their stats.
 
 use leakage_noc::netsim::{
     FaultPlan, GatingPolicy, InjectionProcess, MeshConfig, NetworkStats, SimAbort, SimKernel,
@@ -24,28 +30,43 @@ use leakage_noc::netsim::{
 };
 use proptest::prelude::*;
 
-/// One run's outcome and, when it aborted, the stats of a follow-up
-/// run from the frozen state.
-type Outcome = (Result<NetworkStats, SimAbort>, Option<NetworkStats>);
+/// The first run's outcome, then the outcomes of the follow-up runs,
+/// each from the state its predecessor left.
+type Outcome = Vec<Result<NetworkStats, SimAbort>>;
+
+/// Short follow-up runs chained after the first: each close-out leaves
+/// full-window debtors on their FSM template (`Asleep` once the window
+/// outlasts the threshold), and each follow-up's single warmup cycle
+/// steps whatever injects on it against those lanes — a stall the
+/// template causes and a fresh lane does not — before its boundary
+/// resets them. Twelve cycles fit every budget a first run can have.
+const FOLLOW_UPS: usize = 8;
+const FOLLOW_MEASURE: u64 = 11;
 
 fn outcome(cfg: MeshConfig, warmup: u64, measure: u64) -> Outcome {
-    // The abort froze the run with debts outstanding; the only way a
-    // later run agrees with the oracle is if the lazy engine settled
-    // every debtor's *partial* span (boundary → abort cycle) exactly
-    // as the eager boundary reset did.
-    let follow = cfg.cycle_budget.min(60);
+    let abort_follow = cfg.cycle_budget.min(60);
     let mut sim = Simulation::new(cfg);
-    let first = sim.try_run(warmup, measure);
-    let after = first.is_err().then(|| {
-        sim.try_run(0, follow)
-            .expect("follow-up within budget must complete")
-    });
-    (first, after)
+    let mut runs = vec![sim.try_run(warmup, measure)];
+    if runs[0].is_err() {
+        // The abort froze the run with debts outstanding; the only way
+        // a later run agrees with the oracle is if the lazy engine
+        // settled every debtor's *partial* span (boundary → abort
+        // cycle) exactly as the eager boundary reset did.
+        let after = sim
+            .try_run(0, abort_follow)
+            .expect("follow-up within budget must complete");
+        runs.push(Ok(after));
+    }
+    for _ in 0..FOLLOW_UPS {
+        runs.push(sim.try_run(1, FOLLOW_MEASURE));
+    }
+    runs
 }
 
 /// Runs `cfg` once under the eager reference oracle and under every
-/// deferring kernel, asserting identical outcomes — including, on a
-/// deadline abort, a follow-up run that observes the post-abort slabs.
+/// deferring kernel, asserting identical outcomes — including a
+/// follow-up run that observes the slabs the first run left, aborted or
+/// completed.
 fn all_kernels_lazy_match_eager(cfg: MeshConfig, warmup: u64, measure: u64) {
     let oracle = outcome(
         MeshConfig {

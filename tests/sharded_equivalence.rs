@@ -184,7 +184,7 @@ fn sharded_64x64_all_idle_settles_in_bulk() {
     let merged = stats.merged_idle_histogram(NetworkStats::DEFAULT_IDLE_BINS);
     assert_eq!(merged.total_idle_cycles(), measure * n * lanes);
     assert_eq!(merged.interval_count(), n * lanes);
-    assert_eq!(merged.open_runs().len(), (n * lanes) as usize);
+    assert_eq!(merged.open_runs().count(), (n * lanes) as usize);
     for a in &stats.router_activity {
         assert_eq!(a.cycles, measure);
         assert_eq!(a.arbitrations, measure * lanes);
